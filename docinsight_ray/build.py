@@ -40,13 +40,12 @@ import os
 import time
 import uuid
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, NamedTuple
 
 import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
-import pyarrow.parquet as pq
 import ray
 import ray.data
 from ray.data.aggregate import Count as RayCount
@@ -247,7 +246,7 @@ class AssignGroupKey:
         buckets = term_bucket(batch["term"], cfg.num_buckets).astype(np.int64)
         stride = 1 + cfg.hot_salt
         gkey = buckets * stride
-        if self.hot_terms.size and cfg.salting_enabled:
+        if self.hot_terms.size:
             # Arrow is_in kernel (hash set in C) beats np.isin on objects
             hot_mask = pc.is_in(
                 batch["term"], value_set=self._hot_set
@@ -282,6 +281,68 @@ def _check_group_payload(nbytes: int, what: str, cfg: EngineConfig) -> None:
         )
 
 
+class _Runs(NamedTuple):
+    """One group sorted by (term, doc_id) and encoded: per-term runs
+    ``[starts[i], ends[i])`` over the sorted arrays, each run's
+    delta+varbyte doc_ids and varbyte tfs, and the per-posting byte
+    offsets into the group-wide encodings."""
+
+    terms: np.ndarray          # one term per run (object)
+    starts: np.ndarray
+    ends: np.ndarray
+    doc_ids: np.ndarray
+    tfs: np.ndarray
+    doc_lens: np.ndarray
+    doc_vbs: list[bytes]
+    tf_vbs: list[bytes]
+    doc_off: np.ndarray
+    tf_off: np.ndarray
+
+
+def _varbyte_runs(values: np.ndarray, starts: np.ndarray, ends: np.ndarray):
+    """Varbyte-encode ``values`` in one pass → (per-run byte strings,
+    per-value byte offsets into the whole encoding)."""
+    v = values.astype(np.uint64)
+    buf, off = varbyte_encode(v), np.r_[0, np.cumsum(varbyte_lengths(v))]
+    return [buf[off[s] : off[e]] for s, e in zip(starts, ends)], off
+
+
+def _sort_and_encode(
+    terms: np.ndarray,
+    doc_ids: np.ndarray,
+    tfs: np.ndarray,
+    doc_lens: np.ndarray,
+    cfg: EngineConfig,
+) -> _Runs:
+    """The merge's one sort-and-encode step (final groups and salted
+    runs alike): sort (term, doc_id), drop exact (term, doc_id)
+    duplicates — identical (repo, path, commit) rows; the stable sort
+    keeps the first copy in input order — then one delta+varbyte pass
+    over the whole non-empty group, sliced per term by byte offset."""
+    codes, uniques = pd.factorize(terms, sort=True)
+    order = np.lexsort((doc_ids, codes))
+    codes, doc_ids, tfs, doc_lens = codes[order], doc_ids[order], tfs[order], doc_lens[order]
+    if codes.size > 1:
+        dup = np.zeros(codes.size, dtype=bool)
+        dup[1:] = (codes[1:] == codes[:-1]) & (doc_ids[1:] == doc_ids[:-1])
+        if dup.any():
+            keep = ~dup
+            codes, doc_ids, tfs, doc_lens = codes[keep], doc_ids[keep], tfs[keep], doc_lens[keep]
+    starts = np.flatnonzero(np.r_[True, codes[1:] != codes[:-1]])
+    ends = np.r_[starts[1:], codes.size]
+    if not ((doc_ids[1:] > doc_ids[:-1]) | (codes[1:] != codes[:-1])).all():
+        raise ValueError("postings not strictly increasing within term")
+    deltas = doc_ids.copy()
+    deltas[1:] -= doc_ids[:-1]
+    deltas[starts] = doc_ids[starts]
+    doc_vbs, doc_off = _varbyte_runs(deltas, starts, ends)
+    tf_vbs, tf_off = _varbyte_runs(tfs, starts, ends)
+    _check_group_payload(max(int(doc_off[-1]), int(tf_off[-1])), "encode", cfg)
+    run_terms = np.asarray(uniques, dtype=object)[codes[starts]]
+    return _Runs(run_terms, starts, ends, doc_ids, tfs, doc_lens,
+                 doc_vbs, tf_vbs, doc_off, tf_off)
+
+
 def _encode_sorted_group(
     terms: np.ndarray,
     doc_ids: np.ndarray,
@@ -290,52 +351,22 @@ def _encode_sorted_group(
     avgdl: float,
     cfg: EngineConfig,
 ) -> pa.Table:
-    """Sort (term, doc_id), drop exact (term,doc_id) dups, encode all
-    terms' postings. Vectorized: one varbyte pass over the whole group,
-    per-term byte-offset slicing."""
-    codes, uniques = pd.factorize(terms, sort=True)
-    order = np.lexsort((doc_ids, codes))
-    codes, doc_ids, tfs, doc_lens = codes[order], doc_ids[order], tfs[order], doc_lens[order]
-    # drop duplicate (term, doc_id) pairs (identical (repo,path,commit) rows)
-    if codes.size > 1:
-        dup = np.zeros(codes.size, dtype=bool)
-        dup[1:] = (codes[1:] == codes[:-1]) & (doc_ids[1:] == doc_ids[:-1])
-        if dup.any():
-            keep = ~dup
-            codes, doc_ids, tfs, doc_lens = codes[keep], doc_ids[keep], tfs[keep], doc_lens[keep]
-    n = codes.size
-    if n == 0:
+    """Final postings rows of one group: sorted runs plus block-max
+    metadata (block maxima of the tf-saturation weight, last doc_id and
+    byte offsets of every block)."""
+    if not len(terms):
         return POSTINGS_SCHEMA.empty_table()
-    starts = np.flatnonzero(np.r_[True, codes[1:] != codes[:-1]])
-    ends = np.r_[starts[1:], n]
-    if not ((doc_ids[1:] > doc_ids[:-1]) | (codes[1:] != codes[:-1])).all():
-        raise ValueError("postings not strictly increasing within term")
-    deltas = doc_ids.copy()
-    deltas[1:] -= doc_ids[:-1]
-    deltas[starts] = doc_ids[starts]
-    doc_buf = varbyte_encode(deltas)
-    doc_off = np.r_[0, np.cumsum(varbyte_lengths(deltas))]
-    tf64 = tfs.astype(np.uint64)
-    tf_buf = varbyte_encode(tf64)
-    tf_off = np.r_[0, np.cumsum(varbyte_lengths(tf64))]
-    _check_group_payload(max(int(doc_off[-1]), int(tf_off[-1])), "encode", cfg)
-    w = tf_sat_weight(tfs, doc_lens, avgdl, cfg)
+    r = _sort_and_encode(terms, doc_ids, tfs, doc_lens, cfg)
+    w = tf_sat_weight(r.tfs, r.doc_lens, avgdl, cfg)
 
     bs = cfg.block_size
-    out_terms: list[str] = []
-    dfs = np.empty(starts.size, dtype=np.uint64)
-    doc_vbs: list[bytes] = []
-    tf_vbs: list[bytes] = []
+    dfs = (r.ends - r.starts).astype(np.uint64)
     bmaxes: list[np.ndarray] = []
     blasts: list[np.ndarray] = []
     bdoffs: list[np.ndarray] = []
     btoffs: list[np.ndarray] = []
-    uniq_arr = np.asarray(uniques, dtype=object)
-    for i, (s, e) in enumerate(zip(starts, ends)):
-        out_terms.append(uniq_arr[codes[s]])
-        dfs[i] = e - s
-        doc_vbs.append(doc_buf[doc_off[s] : doc_off[e]])
-        tf_vbs.append(tf_buf[tf_off[s] : tf_off[e]])
+    doc_off, tf_off = r.doc_off, r.tf_off
+    for s, e in zip(r.starts, r.ends):
         bstarts = np.arange(s, e, bs)
         # float32 block maxima rounded UP — a downward float32 rounding
         # would make the bound unsafe (a posting could exceed it by 1ulp
@@ -345,21 +376,20 @@ def _encode_sorted_group(
         low = bm32.astype(np.float64) < bm
         bm32[low] = np.nextafter(bm32[low], np.float32(np.inf))
         bmaxes.append(bm32)
-        blasts.append(doc_ids[np.minimum(bstarts + bs, e) - 1])
+        blasts.append(r.doc_ids[np.minimum(bstarts + bs, e) - 1])
         bdoffs.append((doc_off[bstarts] - doc_off[s]).astype(np.uint32))
         btoffs.append((tf_off[bstarts] - tf_off[s]).astype(np.uint32))
-    buckets = term_bucket(np.asarray(out_terms, dtype=object), cfg.num_buckets)
     return pa.table(
         {
-            "term": pa.array(out_terms, type=pa.string()),
+            "term": pa.array(r.terms, type=pa.string()),
             "df": pa.array(dfs, type=pa.uint64()),
-            "doc_ids_vb": pa.array(doc_vbs, type=pa.binary()),
-            "tfs_vb": pa.array(tf_vbs, type=pa.binary()),
+            "doc_ids_vb": pa.array(r.doc_vbs, type=pa.binary()),
+            "tfs_vb": pa.array(r.tf_vbs, type=pa.binary()),
             "block_max_w": pa.array(bmaxes, type=pa.list_(pa.float32())),
             "block_last_doc": pa.array(blasts, type=pa.list_(pa.uint64())),
             "block_doc_off": pa.array(bdoffs, type=pa.list_(pa.uint32())),
             "block_tf_off": pa.array(btoffs, type=pa.list_(pa.uint32())),
-            "bucket": pa.array(buckets, type=pa.uint32()),
+            "bucket": pa.array(term_bucket(r.terms, cfg.num_buckets), type=pa.uint32()),
         }
     )
 
@@ -380,6 +410,8 @@ class MergeGroup:
         self.__name__ = "MergeGroup"  # map_groups wraps fn and reads __name__
 
     def __call__(self, group: pa.Table) -> pa.Table:
+        from .state.fsio import makedirs, write_parquet_atomic
+
         t0 = time.monotonic()
         cfg = self.cfg
         gkey = int(group["gkey"][0].as_py())
@@ -397,63 +429,29 @@ class MergeGroup:
             # posting — the second (hot-merge) shuffle moves compressed
             # run payloads, not ~Σ df(hot) raw rows (which dominated
             # the 100k build's hot_merge stage).
-            codes, uniques = pd.factorize(terms, sort=True)
-            order = np.lexsort((doc_ids, codes))
-            codes, doc_ids = codes[order], doc_ids[order]
-            tfs, doc_lens = tfs[order], doc_lens[order]
-            n = codes.size
-            starts = np.flatnonzero(np.r_[True, codes[1:] != codes[:-1]])
-            ends = np.r_[starts[1:], n]
-            deltas = doc_ids.copy()
-            deltas[1:] -= doc_ids[:-1]
-            deltas[starts] = doc_ids[starts]
-            doc_buf = varbyte_encode(deltas)
-            doc_off = np.r_[0, np.cumsum(varbyte_lengths(deltas))]
-            tf64 = tfs.astype(np.uint64)
-            tf_buf = varbyte_encode(tf64)
-            tf_off = np.r_[0, np.cumsum(varbyte_lengths(tf64))]
-            dl64 = doc_lens.astype(np.uint64)
-            dl_buf = varbyte_encode(dl64)
-            dl_off = np.r_[0, np.cumsum(varbyte_lengths(dl64))]
-            _check_group_payload(
-                max(int(doc_off[-1]), int(tf_off[-1]), int(dl_off[-1])),
-                "encode salted run", cfg,
-            )
-            uniq_arr = np.asarray(uniques, dtype=object)
+            r = _sort_and_encode(terms, doc_ids, tfs, doc_lens, cfg)
+            dl_vbs, dl_off = _varbyte_runs(r.doc_lens, r.starts, r.ends)
+            _check_group_payload(int(dl_off[-1]), "encode salted run", cfg)
             tbl = pa.table(
                 {
-                    "term": pa.array([uniq_arr[codes[s]] for s in starts], type=pa.string()),
-                    "n": pa.array((ends - starts).astype(np.uint64), type=pa.uint64()),
-                    "doc_ids_vb": pa.array(
-                        [doc_buf[doc_off[s] : doc_off[e]] for s, e in zip(starts, ends)],
-                        type=pa.binary(),
-                    ),
-                    "tfs_vb": pa.array(
-                        [tf_buf[tf_off[s] : tf_off[e]] for s, e in zip(starts, ends)],
-                        type=pa.binary(),
-                    ),
-                    "doc_lens_vb": pa.array(
-                        [dl_buf[dl_off[s] : dl_off[e]] for s, e in zip(starts, ends)],
-                        type=pa.binary(),
-                    ),
+                    "term": pa.array(r.terms, type=pa.string()),
+                    "n": pa.array((r.ends - r.starts).astype(np.uint64), type=pa.uint64()),
+                    "doc_ids_vb": pa.array(r.doc_vbs, type=pa.binary()),
+                    "tfs_vb": pa.array(r.tf_vbs, type=pa.binary()),
+                    "doc_lens_vb": pa.array(dl_vbs, type=pa.binary()),
                 }
             )
-            from .state.fsio import makedirs as _mk, write_parquet_atomic as _wpa
-
             part_dir = os.path.join(self.out_dir, "partial")
-            _mk(part_dir)
-            nbytes = _wpa(tbl, os.path.join(part_dir, f"g{gkey}.parquet"))
+            makedirs(part_dir)
+            nbytes = write_parquet_atomic(tbl, os.path.join(part_dir, f"g{gkey}.parquet"))
             kind = "partial"
-            n_terms = len(uniques)
         else:
-            from .state.fsio import makedirs as _mk, write_parquet_atomic as _wpa
-
             tbl = _encode_sorted_group(terms, doc_ids, tfs, doc_lens, self.avgdl, cfg)
             part_dir = os.path.join(self.out_dir, "parts", f"g{gkey}")
-            _mk(part_dir)
-            nbytes = _wpa(tbl, os.path.join(part_dir, "postings.parquet"))
+            makedirs(part_dir)
+            nbytes = write_parquet_atomic(tbl, os.path.join(part_dir, "postings.parquet"))
             kind = "final"
-            n_terms = tbl.num_rows
+        n_terms = tbl.num_rows
         write_manifest(
             os.path.join(self.out_dir, "manifest"),
             f"g{gkey}",
@@ -579,8 +577,7 @@ def build_index(
     if "docs" not in done:
         # no resumable state for THIS (input, config) identity → clean slate
         for sub in ("fragments", "fragments-dfstats", "docs", "parts",
-                    "partial", "manifest", "dedup_losers", "merge_stage",
-                    "term_dict"):
+                    "partial", "manifest", "dedup_losers", "term_dict"):
             fs_rmtree(os.path.join(index_dir, sub))
         if fragments_dir is not None:
             for d in (frag_dir, frag_dir.rstrip("/") + "-dfstats"):
@@ -767,64 +764,51 @@ def build_index(
     _stage("corpus_stats_agg", t0, n_docs=int(n_docs))
 
     t0 = time.monotonic()
-    # ---- Hot-term detection: per-batch partial df pre-agg, then a small
-    # groupby(term) over the partials (SURVEY.md §2.5 G3 / §4.3).
+    # ---- Hot-term detection (SURVEY.md §2.5 G3 / §4.3): salting runs
+    # whenever the observed df finds hot terms.
     from .state.fsio import is_uri, read_parquet_files
 
-    frags = ray.data.read_parquet(read_parquet_files(frag_dir) if is_uri(frag_dir) else frag_dir)
-
-    def partial_df(batch: pa.Table) -> pa.Table:
-        vc = pc.value_counts(batch["term"])  # C-speed, no python objects
-        return pa.table({"term": vc.field("values"), "pdf": vc.field("counts")})
-
     hot_thresh = max(2, int(cfg.hot_df_ratio * n_docs))
-    if cfg.salting_enabled:
-        # Detection over the df SIDECARS only (per-fragment (term,
-        # pdf, ndocs) partial aggregates written during tokenization —
-        # the fragment table, ~avgdl x larger, is never re-read; the
-        # round-1 full groupby(term) over the whole vocabulary cost
-        # 35 s of a 79 s 100k build). Two cheap passes:
-        #   1. pigeonhole candidates — fragment files cover WHOLE docs
-        #      (Σ ndocs_f == n_total exactly), so df >= H implies some
-        #      file has pdf * n_total >= H * ndocs_f; keep only those
-        #      terms (a tiny superset of the hot set);
-        #   2. exact df for candidates: sum their sidecar pdf rows.
-        # The hot set is EXACTLY the full-shuffle answer, independent
-        # of read-batch layout (sidecars are per-fragment-file).
-        from .state.fsio import is_uri as _is_uri, read_parquet_files as _rp
+    # Detection over the df SIDECARS only (per-fragment (term, pdf,
+    # ndocs) partial aggregates written during tokenization — the
+    # fragment table, ~avgdl x larger, is never re-read; the round-1
+    # full groupby(term) over the whole vocabulary cost 35 s of a 79 s
+    # 100k build). Two cheap passes:
+    #   1. pigeonhole candidates — fragment files cover WHOLE docs
+    #      (Σ ndocs_f == n_total exactly), so df >= H implies some file
+    #      has pdf * n_total >= H * ndocs_f; keep only those terms (a
+    #      tiny superset of the hot set);
+    #   2. exact df for candidates: sum their sidecar pdf rows.
+    # The hot set is EXACTLY the full-shuffle answer, independent of
+    # read-batch layout (sidecars are per-fragment-file).
+    dfstats_dir = frag_dir.rstrip("/") + "-dfstats"
+    sides = (
+        ray.data.read_parquet(read_parquet_files(dfstats_dir) if is_uri(dfstats_dir) else dfstats_dir)
+        if listdir_count(dfstats_dir)
+        else None
+    )
 
-        from .state.fsio import listdir_count as _lc
+    def candidates(batch: pa.Table) -> pa.Table:
+        pdf = batch["pdf"].to_numpy(zero_copy_only=False).astype(np.int64)
+        nd = batch["ndocs"].to_numpy(zero_copy_only=False).astype(np.int64)
+        keep = pdf * int(n_total) >= int(hot_thresh) * nd
+        return pa.table({"term": batch["term"].filter(pa.array(keep))})
 
-        dfstats_dir = frag_dir.rstrip("/") + "-dfstats"
-        sides = (
-            ray.data.read_parquet(_rp(dfstats_dir) if _is_uri(dfstats_dir) else dfstats_dir)
-            if _lc(dfstats_dir)
-            else None
-        )
+    if sides is None:
+        cand_terms = []
+    else:
+        cand = sides.map_batches(candidates, batch_format="pyarrow").to_pandas()
+        cand_terms = sorted(set(cand["term"])) if "term" in cand.columns else []
+    if cand_terms:
+        cand_ref = ray.put(pa.array(cand_terms, type=pa.string()))
 
-        def candidates(batch: pa.Table) -> pa.Table:
-            pdf = batch["pdf"].to_numpy(zero_copy_only=False).astype(np.int64)
-            nd = batch["ndocs"].to_numpy(zero_copy_only=False).astype(np.int64)
-            keep = pdf * int(n_total) >= int(hot_thresh) * nd
-            return pa.table({"term": batch["term"].filter(pa.array(keep))})
+        def cand_df(batch: pa.Table, *, _r=cand_ref) -> pa.Table:
+            sel = batch.filter(pc.is_in(batch["term"], value_set=ray.get(_r)))
+            return pa.table({"term": sel["term"], "pdf": sel["pdf"]})
 
-        if sides is None:
-            cand_terms = []
-        else:
-            cand = sides.map_batches(candidates, batch_format="pyarrow").to_pandas()
-            cand_terms = sorted(set(cand["term"])) if "term" in cand.columns else []
-        if cand_terms:
-            cand_ref = ray.put(pa.array(cand_terms, type=pa.string()))
-
-            def cand_df(batch: pa.Table, *, _r=cand_ref) -> pa.Table:
-                sel = batch.filter(pc.is_in(batch["term"], value_set=ray.get(_r)))
-                return pa.table({"term": sel["term"], "pdf": sel["pdf"]})
-
-            dfp = sides.map_batches(cand_df, batch_format="pyarrow").to_pandas()
-            exact = dfp.groupby("term")["pdf"].sum()  # candidates only — tiny
-            hot_terms = np.asarray(sorted(exact[exact >= hot_thresh].index), dtype=object)
-        else:
-            hot_terms = np.empty(0, dtype=object)
+        dfp = sides.map_batches(cand_df, batch_format="pyarrow").to_pandas()
+        exact = dfp.groupby("term")["pdf"].sum()  # candidates only — tiny
+        hot_terms = np.asarray(sorted(exact[exact >= hot_thresh].index), dtype=object)
     else:
         hot_terms = np.empty(0, dtype=object)
 
@@ -832,6 +816,7 @@ def build_index(
 
     t0 = time.monotonic()
     # ---- The wide shuffle: groupby(gkey) → merge/compress/commit
+    frags = ray.data.read_parquet(read_parquet_files(frag_dir) if is_uri(frag_dir) else frag_dir)
     merge_in = frags
     if losers_spill is not None:
         # join-path dedup: loser set too large to broadcast — anti-join
@@ -858,51 +843,11 @@ def build_index(
         batch_format="pyarrow",
         zero_copy_batch=True,
     )
-    if cfg.merge_strategy == "partition":
-        # Hash-partition-write shuffle: stage the keyed fragments as a
-        # hive-partitioned dataset (each map task appends its own files
-        # per gkey — no all-to-all sort), then merge each partition
-        # directory independently. Functionally identical to the sort
-        # path (MergeGroup sorts within the group either way; proven
-        # byte-identical by test_merge_strategy_partition_identical);
-        # trades the sort machinery's memory spike for a staging write,
-        # which is the standard choice at corpus sizes where a sort
-        # shuffle would spill anyway.
-        from .state.fsio import listdir_names
-
-        stage_dir = os.path.join(index_dir, "merge_stage")
-        fs_rmtree(stage_dir)
-        fs_makedirs(stage_dir)
-        keyed.write_parquet(stage_dir, partition_cols=["gkey"])
-        gkeys = sorted(
-            int(n.split("=", 1)[1]) for n in listdir_names(stage_dir)
-            if n.startswith("gkey=")
-        )
-        merger = MergeGroup(cfg, index_dir, avgdl, fingerprint)
-
-        def merge_partition(batch: pa.Table, _m=merger, _sd=stage_dir) -> pa.Table:
-            outs = []
-            for g in batch["gkey"].to_pylist():
-                t = pq.read_table(os.path.join(_sd, f"gkey={g}"))
-                t = t.append_column(
-                    "gkey", pa.array(np.full(t.num_rows, g, dtype=np.int64), type=pa.int64())
-                )
-                outs.append(_m(t))
-            return pa.concat_tables(outs)
-
-        stats_ds = ray.data.from_items([{"gkey": g} for g in gkeys]).map_batches(
-            merge_partition, batch_format="pyarrow", batch_size=1
-        )
-        merge_stats = stats_ds.to_pandas() if gkeys else pd.DataFrame(
-            {"gkey": [], "kind": [], "rows_in": [], "n_terms": [], "bytes_out": [], "wall_s": []}
-        )
-        fs_rmtree(stage_dir)
-    else:
-        stats_ds = keyed.groupby("gkey").map_groups(
-            MergeGroup(cfg, index_dir, avgdl, fingerprint),
-            batch_format="pyarrow",
-        )
-        merge_stats = stats_ds.to_pandas()  # tiny: one row per gkey
+    stats_ds = keyed.groupby("gkey").map_groups(
+        MergeGroup(cfg, index_dir, avgdl, fingerprint),
+        batch_format="pyarrow",
+    )
+    merge_stats = stats_ds.to_pandas()  # tiny: one row per gkey
     _stage(
         "merge_shuffle", t0,
         groups=int(len(merge_stats)),
@@ -1007,7 +952,7 @@ def build_index(
         "stopwords": list(cfg.stopwords),
         "config_hash": cfg.config_hash(),
         "fingerprint": fingerprint,
-        "merge_groups": int(len(merge_stats)) if merge_stats is not None else 0,
+        "merge_groups": int(len(merge_stats)),
         # cross-environment routing safety: serving verifies this before
         # trusting term->bucket lookups (ids.check_term_hash_canary)
         "term_hash_canary": term_hash_canary(),

@@ -42,7 +42,6 @@ class EngineConfig:
     min_token_len: int = 2
     max_token_len: int = 64
     stopwords: tuple[str, ...] = ()
-    split_identifiers: bool = True
     # Analyzer stemming stage: "none" (default) or "s" — the Harman
     # (1991) S-stemmer (plural conflation), applied AFTER length +
     # stopword filtering. Index and query sides share the config, so
@@ -62,14 +61,6 @@ class EngineConfig:
     # hot_salt sub-groups during the merge shuffle (SURVEY.md §4.3).
     hot_df_ratio: float = 0.10
     hot_salt: int = 4
-    salting_enabled: bool = True
-
-    # Merge-shuffle strategy: "sort" = Ray groupby(gkey).map_groups
-    # (sort-based all-to-all); "partition" = hive-partitioned staging
-    # write + independent per-partition merges (no global sort — the
-    # push-style shuffle for corpora where a sort would spill anyway).
-    # Byte-identical outputs (tested); pick per deployment.
-    merge_strategy: str = "sort"
 
     # doc_id assignment: "hash" = first 8 bytes of sha256(repo|path|commit)
     # (deterministic, cluster-safe); "column" = pass through an existing

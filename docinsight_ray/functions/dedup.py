@@ -590,15 +590,19 @@ def q_dup_clusters(sf_dir: str) -> pa.Table:
     def assign(batch: pd.DataFrame) -> pd.DataFrame:
         keys, vals, szs = ray.get(maps_ref)
         ids = batch["doc_id"].to_numpy(dtype=np.int64)
-        pos = np.searchsorted(keys, ids)
-        pos_c = np.minimum(pos, max(keys.size - 1, 0))
-        found = (keys.size > 0) & (pos < keys.size) & (keys[pos_c] == ids)
-        cluster = np.where(found, vals[pos_c], ids)
+        if keys.size == 0:  # empty pair graph: every doc is a singleton
+            cluster, n_members = ids, np.ones(ids.size, dtype=np.int64)
+        else:
+            pos = np.searchsorted(keys, ids)
+            pos_c = np.minimum(pos, keys.size - 1)
+            found = (pos < keys.size) & (keys[pos_c] == ids)
+            cluster = np.where(found, vals[pos_c], ids)
+            n_members = np.where(found, szs[pos_c], 1)
         return pd.DataFrame(
             {
                 "doc_id": ids,
                 "cluster_id": cluster.astype(np.int64),
-                "n_members": np.where(found, szs[pos_c], 1).astype(np.int64),
+                "n_members": n_members.astype(np.int64),
                 "is_canonical": (cluster == ids).astype(np.int64),
             }
         )

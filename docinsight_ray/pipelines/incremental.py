@@ -12,17 +12,22 @@ time instead of hash.
 
 Contract (tested in tests/test_incremental.py): after appending
 windows W1..Wn, results are rank-identical to a single build over the
-concatenated corpus. This replaces the reference's incremental
+concatenated corpus, except that exact duplicates resolve by ARRIVAL
+order (dedup rule below). This replaces the reference's incremental
 ``add_vectors`` path (/root/reference/index/index_manager.py:124-201)
 with window-granular appends that keep the per-partition
 checkpoint/lineage story — no in-place index mutation, ever (the
 reference itself can only rebuild to remove,
 /root/reference/index/faiss_index.py:243-266).
 
-Caveat (documented, matching sharded.py): exact dedup across windows
-requires a global (sha → winner) pre-pass; with dedup enabled, a
-duplicate arriving in a LATER window than its original is dropped via
-the cross-window loser filter below.
+Dedup rule: within one window the smallest doc_id of a content wins,
+as in a single build; ACROSS windows the earliest-arriving copy wins —
+a copy whose content an earlier window already holds is dropped at
+append time (the cross-window seen-sha filter below), even when its
+doc_id is smaller. A single build over the concatenation keeps the
+global min doc_id instead, so where the smaller-doc_id copy of a
+duplicated content arrives in a later window, windowed serving (before
+and after ``compact_windows``) returns the earlier-arrived copy.
 
 Deletes: ``delete_docs`` tombstones documents (append-only parquet
 under ``index_root/tombstones``); ``query_windows`` excludes them
@@ -43,6 +48,7 @@ import ray.data
 from ..build import build_index
 from ..config import EngineConfig
 from ..scorer import BM25Scorer
+from .merge import _drop_tombstoned, restage_and_build
 from .sharded import distribute_global_stats, merge_topk
 
 
@@ -222,24 +228,6 @@ def append_windows(
     return refresh_global_stats(index_root)
 
 
-def _drop_tombstoned(ds: "ray.data.Dataset", dead) -> "ray.data.Dataset":
-    """Filter rows whose uint64 ``doc_id`` is in the sorted ``dead``
-    array (broadcast once via ray.put; sorted-probe per batch)."""
-    if dead is None or not len(dead):
-        return ds
-    ref = ray.put(dead)
-
-    def drop(t: pa.Table, _r=ref) -> pa.Table:
-        import numpy as np
-
-        da = ray.get(_r)
-        ids = t["doc_id"].to_numpy(zero_copy_only=False).astype(np.uint64)
-        pos = np.minimum(np.searchsorted(da, ids), da.size - 1)
-        return t.filter(pa.array(da[pos] != ids))
-
-    return ds.map_batches(drop, batch_format="pyarrow", zero_copy_batch=True)
-
-
 def _tombstone_ids(index_root: str):
     """Sorted uint64 doc_ids tombstoned under ``index_root/tombstones``
     (empty array when none)."""
@@ -330,118 +318,6 @@ def delete_docs(
     return int(arr.size)
 
 
-class _PostingsDecoder:
-    """Actor-pool stage for compaction: one source postings part file →
-    SPIMI fragment rows (term, doc_id, tf, doc_len) + df sidecar,
-    written straight into the compacted window's staging dirs.
-
-    doc_len rides back in via a per-window (doc_id → doc_len) lookup
-    loaded once per actor per window (the same per-sub-index doc-len
-    array the scorer itself holds — the documented partitioning
-    assumption is that ONE WINDOW's doc-len table fits a worker).
-    Fragment names are content-addressed by the source file path, so
-    Ray task retries overwrite idempotently.
-
-    Sidecar soundness: within one window a term's postings live in
-    exactly ONE parts file (its bucket, or one hot row), so pdf_f =
-    df_w and with ndocs_f = window n_docs the hot-term pigeonhole
-    (build.py hot detection) holds ACROSS windows: global df ≥
-    ratio·Σn_w implies some window has df_w ≥ ratio·n_w."""
-
-    def __init__(self, frag_dir: str, dfstats_dir: str, dead_ref=None):
-        self.frag_dir = frag_dir
-        self.dfstats_dir = dfstats_dir
-        # tombstoned doc_ids (sorted uint64, ray.put once driver-side):
-        # dropped from every decoded posting list, so compaction applies
-        # deletes physically and the rebuild's stats exclude them
-        import numpy as np
-
-        if dead_ref is None:
-            self._dead = np.empty(0, dtype=np.uint64)
-        else:  # ObjectRef, or already resolved by the actor call path
-            v = ray.get(dead_ref) if isinstance(dead_ref, ray.ObjectRef) else dead_ref
-            self._dead = np.asarray(v, dtype=np.uint64)
-        self._dl: dict[str, tuple] = {}  # window dir → (sorted ids, lens)
-
-    def _doc_lens(self, wdir: str):
-        import numpy as np
-        import pyarrow.parquet as pq
-
-        cached = self._dl.get(wdir)
-        if cached is None:
-            t = pq.read_table(os.path.join(wdir, "docs"), columns=["doc_id", "doc_len"])
-            ids = t["doc_id"].to_numpy(zero_copy_only=False).astype(np.uint64)
-            lens = t["doc_len"].to_numpy(zero_copy_only=False).astype(np.uint32)
-            order = np.argsort(ids, kind="stable")
-            cached = (ids[order], lens[order])
-            if len(self._dl) > 4:
-                self._dl.clear()
-            self._dl[wdir] = cached
-        return cached
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        import hashlib
-
-        import numpy as np
-
-        from ..codec import decode_posting
-        from ..state.fsio import write_parquet_atomic
-
-        n_terms_out = 0
-        for fpath, wdir, wdocs in zip(
-            batch["file"].to_pylist(), batch["wdir"].to_pylist(), batch["wdocs"].to_pylist()
-        ):
-            import pyarrow.parquet as pq
-
-            t = pq.read_table(fpath, columns=["term", "df", "doc_ids_vb", "tfs_vb"])
-            if t.num_rows == 0:
-                continue
-            dl_ids, dl_lens = self._doc_lens(wdir)
-            terms_out, ids_out, tfs_out, lens_out = [], [], [], []
-            dead = self._dead
-            for term, df, dvb, tvb in zip(
-                t["term"].to_pylist(), t["df"].to_pylist(),
-                t["doc_ids_vb"].to_pylist(), t["tfs_vb"].to_pylist(),
-            ):
-                d, f = decode_posting(dvb, tvb, int(df))
-                if dead.size:
-                    pos = np.minimum(np.searchsorted(dead, d), dead.size - 1)
-                    keep = dead[pos] != d
-                    d, f = d[keep], f[keep]
-                    if d.size == 0:
-                        continue
-                terms_out.append(np.full(d.size, term, dtype=object))
-                ids_out.append(d)
-                tfs_out.append(f.astype(np.uint32))
-                lens_out.append(dl_lens[np.searchsorted(dl_ids, d)])
-            tag = hashlib.sha256(fpath.encode()).hexdigest()[:20]
-            if terms_out:  # tombstones can empty an entire parts file
-                frag = pa.table(
-                    {
-                        "term": pa.array(np.concatenate(terms_out), type=pa.string()),
-                        "doc_id": pa.array(np.concatenate(ids_out), type=pa.uint64()),
-                        "tf": pa.array(np.concatenate(tfs_out), type=pa.uint32()),
-                        "doc_len": pa.array(np.concatenate(lens_out), type=pa.uint32()),
-                    }
-                )
-                write_parquet_atomic(frag, f"{self.frag_dir}/frag-{tag}-{frag.num_rows}.parquet")
-            side = pa.table(
-                {
-                    "term": t["term"],
-                    "pdf": pa.array(
-                        t["df"].to_numpy(zero_copy_only=False).astype(np.uint32),
-                        type=pa.uint32(),
-                    ),
-                    "ndocs": pa.array(
-                        np.full(t.num_rows, int(wdocs), dtype=np.uint32), type=pa.uint32()
-                    ),
-                }
-            )
-            write_parquet_atomic(side, f"{self.dfstats_dir}/frag-{tag}.parquet")
-            n_terms_out += t.num_rows
-        return pa.table({"n_terms": pa.array([n_terms_out], type=pa.int64())})
-
-
 def plan_compaction(
     index_root: str,
     max_windows: int = 4,
@@ -514,8 +390,12 @@ def compact_windows(
     2. concatenate the source docs registries into the new docs dir;
     3. run the ordinary ``build_index`` merge shuffle over the staged
        fragments (docs manifest pre-committed, same trick as the
-       sharded split) — dedup semantics recompute to the identical
-       winner set (keep-first = global min doc_id);
+       sharded split) — dedup recomputes to the identical winner set:
+       appends already dropped every later-arriving copy, so the union
+       holds the earliest-arriving copy of each content (arrival order,
+       not the global min doc_id; see the module docstring). Steps
+       1-3 are ``merge.restage_and_build``, shared with
+       ``merge_indexes``;
     4. crash-safe cutover: a ``_COMPACTED_FROM`` marker in the new dir
        (written BEFORE the build; effective only once the build
        commits) makes ``query_windows`` exclude the sources even if
@@ -526,13 +406,7 @@ def compact_windows(
     Returns the new window dir."""
     import hashlib
 
-    from ..state.fsio import (
-        glob_parquet,
-        makedirs as fs_makedirs,
-        read_bytes,
-        rmtree as fs_rmtree,
-    )
-    from ..state.manifest import atomic_write_bytes, committed_parts, write_manifest
+    from ..state.fsio import read_bytes, rmtree as fs_rmtree
 
     cfg = cfg or EngineConfig()
     committed = [(d, s) for d in _window_dirs(index_root)
@@ -565,58 +439,19 @@ def compact_windows(
         raise ValueError(f"compact_windows: output window id collides with a source: {out_window_id}")
 
     fingerprint = f"compact:{out_window_id}:{','.join(src_names)}:tomb={tdig}"
-    inner_fp = f"{fingerprint}:{cfg.config_hash()}"
-    man_dir = os.path.join(out_dir, "manifest")
-    if "docs" not in committed_parts(man_dir, inner_fp):
-        # fresh staging for THIS source-set identity
-        fs_rmtree(out_dir)
-        frag_dir = os.path.join(out_dir, "fragments")
-        dfstats_dir = os.path.join(out_dir, "fragments-dfstats")
-        docs_dir = os.path.join(out_dir, "docs")
-        for p in (frag_dir, dfstats_dir, docs_dir):
-            fs_makedirs(p)
-        # marker = TRANSITIVE supersession closure: direct sources plus
-        # whatever they themselves superseded — so exclusion survives
-        # the deletion of an intermediate compacted window whose own
-        # marker was the only thing excluding still-on-disk leftovers
-        closure = set(src_names)
-        for d, _ in sources:
-            prior = read_bytes(os.path.join(d, "_COMPACTED_FROM"))
-            if prior:
-                closure.update(json.loads(prior))
-        atomic_write_bytes(os.path.join(out_dir, "_COMPACTED_FROM"),
-                           json.dumps(sorted(closure)).encode())
-        # 2. union docs registries (narrow metadata, one pass),
-        # dropping tombstoned docs — the rebuild's stats (n_docs,
-        # avgdl, df) then exclude them exactly
-        dead_ref = ray.put(dead) if dead.size else None
-        docs_files = [f for d, _ in sources for f in glob_parquet(os.path.join(d, "docs"))]
-        _drop_tombstoned(ray.data.read_parquet(docs_files), dead).write_parquet(docs_dir)
-        # 1. decode postings → fragments (+ sidecars). Note: df
-        # sidecars keep PRE-delete pdf/ndocs — the exact candidate-df
-        # pass corrects over-estimates, and a (rare, delete-heavy)
-        # missed hot term only inflates one merge group, never results
-        items = []
-        for d, s in sources:
-            wdocs = s.get("shard_n_docs", s["n_docs"])
-            for f in glob_parquet(os.path.join(d, "parts")):
-                items.append({"file": f, "wdir": d, "wdocs": int(wdocs)})
-        if items:
-            ray.data.from_items(items).map_batches(
-                _PostingsDecoder,
-                fn_constructor_args=(frag_dir, dfstats_dir, dead_ref),
-                batch_format="pyarrow",
-                batch_size=4,
-                concurrency=4,
-            ).sum("n_terms")
-        write_manifest(man_dir, "docs", {
-            "part_id": "docs", "stage": "compact-stage", "status": "committed",
-            "fingerprint": inner_fp, "config_hash": cfg.config_hash(),
-            "sources": src_names,
-        })
-    # 3. ordinary build over the staged fragments
-    placeholder = ray.data.from_arrow(pa.schema([("doc_id", pa.uint64())]).empty_table())
-    build_index(placeholder, out_dir, cfg, fingerprint=fingerprint)
+    # marker = TRANSITIVE supersession closure: direct sources plus
+    # whatever they themselves superseded — so exclusion survives the
+    # deletion of an intermediate compacted window whose own marker was
+    # the only thing excluding still-on-disk leftovers
+    closure = set(src_names)
+    for d, _ in sources:
+        prior = read_bytes(os.path.join(d, "_COMPACTED_FROM"))
+        if prior:
+            closure.update(json.loads(prior))
+    restage_and_build(
+        sources, out_dir, cfg, fingerprint, stage="compact-stage", dead=dead,
+        marker=("_COMPACTED_FROM", json.dumps(sorted(closure)).encode()),
+    )
     # 4. cutover: sources are already query-excluded by the marker now
     # that the build committed; delete them, then refresh global stats
     if delete_sources:

@@ -86,6 +86,24 @@ def _cust_nation_arrays(sf_dir: str) -> tuple[np.ndarray, np.ndarray, np.ndarray
     return ckeys, cnk, names
 
 
+def _nation_of(ckeys: np.ndarray, cnk: np.ndarray, ck: np.ndarray) -> np.ndarray:
+    """Nationkey of every custkey in ``ck`` through the sorted broadcast
+    small side. A foreign-key gap — an order whose custkey has no
+    customer row — raises ValueError naming the missing custkeys
+    instead of indexing past the end (a key above the range) or
+    silently taking a neighbour's nation (a gap inside it)."""
+    pos = np.searchsorted(ckeys, ck)
+    ok = pos < ckeys.size
+    ok[ok] = ckeys[pos[ok]] == ck[ok]
+    if not ok.all():
+        missing = np.unique(ck[~ok])
+        raise ValueError(
+            f"customer foreign-key gap: {missing.size} custkey(s) have no "
+            f"customer row: {missing[:20].tolist()}"
+        )
+    return cnk[pos]
+
+
 def q_orders_by_nation(sf_dir: str) -> pa.Table:
     """Broadcast hash join: orders ⋈ customer ⋈ nation → order count +
     total price (cents) per nation. customer/nation are the small
@@ -102,7 +120,7 @@ def q_orders_by_nation(sf_dir: str) -> pa.Table:
 
         def __call__(self, batch: pa.Table) -> pa.Table:
             ck = batch["o_custkey"].to_numpy(zero_copy_only=False).astype(np.int64)
-            nk = self.cnk[np.searchsorted(self.ckeys, ck)]
+            nk = _nation_of(self.ckeys, self.cnk, ck)
             price = batch["o_totalprice"].to_numpy(zero_copy_only=False)
             return pa.table(
                 {
@@ -231,7 +249,7 @@ def q_revenue_by_nation(sf_dir: str) -> pa.Table:
         # |nations|-row partial, no pandas conversion, no row loop
         ckeys, cnk, names = ray.get(maps_ref)
         ck = t["o_custkey"].to_numpy(zero_copy_only=False).astype(np.int64)
-        nk = cnk[np.searchsorted(ckeys, ck)]
+        nk = _nation_of(ckeys, cnk, ck)
         rev = t["rev_e4"].to_numpy(zero_copy_only=False).astype(np.int64)
         acc = np.zeros(names.size, dtype=np.int64)
         np.add.at(acc, nk, rev)

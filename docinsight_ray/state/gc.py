@@ -6,8 +6,8 @@ analogue of the reference's ``cmd_purge`` cascading delete
 mid-run can leave behind:
 
 - staging side-channels (``fragments``/``fragments-dfstats`` SPIMI
-  runs, ``merge_stage`` partition staging, ``shard_input`` sharded
-  split, ``dedup_losers`` join-path spill, ``partial`` salted runs);
+  runs, ``shard_input`` sharded split, ``dedup_losers`` join-path
+  spill, ``partial`` salted runs);
 - dot-prefixed ``.*.tmp`` files from interrupted atomic writes
   (invisible to parquet discovery, but they hold bytes);
 - manifests whose fingerprint no longer matches the committed build
@@ -38,7 +38,6 @@ from .fsio import exists, listdir_names, read_bytes, remove_path, rmtree
 STAGING_SUBDIRS = (
     "fragments",
     "fragments-dfstats",
-    "merge_stage",
     "shard_input",
     "dedup_losers",
     "dedup_global",
@@ -66,7 +65,7 @@ def _tmp_leftovers(root: str) -> list[str]:
             p = os.path.join(d, n)
             if n.startswith(".") and n.endswith(".tmp"):
                 out.append(p)
-            elif "." not in n or n.startswith(("shard=", "window=", "gkey=", "tile=")):
+            elif "." not in n or n.startswith(("shard=", "window=", "tile=")):
                 # plain subdirectory names in this layout carry no dot
                 # (docs, parts, g12, hot, manifest, hive partitions)
                 stack.append(p)

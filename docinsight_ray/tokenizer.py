@@ -34,7 +34,6 @@ from .config import EngineConfig
 # Splits "parseHTTPResponse_v2" -> parse, HTTP, Response, v, 2
 CAMEL_RE = re.compile(r"[A-Z]+(?=[A-Z][a-z])|[A-Z][a-z]+|[a-z]+|[A-Z]+|[0-9]+")
 SIMPLE_RE = re.compile(r"[a-z0-9]+")
-WORD_RE = re.compile(r"[A-Za-z0-9_]+")
 # comment / string-literal stripper (code-corpus citation-mask analogue):
 # block comments, line comments, double/single-quoted literals w/ escapes
 STRIP_RE = re.compile(
@@ -73,10 +72,8 @@ def tokenize_text(text: str, cfg: EngineConfig) -> list[str]:
         text = strip_code_noise(text)
     if cfg.tokenizer == "simple":
         toks = SIMPLE_RE.findall(text.lower())
-    elif cfg.split_identifiers:
-        toks = [t.lower() for t in CAMEL_RE.findall(text)]
     else:
-        toks = [t.lower() for t in WORD_RE.findall(text)]
+        toks = [t.lower() for t in CAMEL_RE.findall(text)]
     lo, hi = cfg.min_token_len, cfg.max_token_len
     if cfg.stopwords:
         stop = set(cfg.stopwords)

@@ -95,8 +95,8 @@ def test_cli_purge_crash_leftovers(built_cli, capsys, tmp_path):
 
     # simulate a crash: leftover staging dirs + a truncated tmp file +
     # a stale-fingerprint manifest
-    os.makedirs(os.path.join(idx, "merge_stage", "gkey=3"), exist_ok=True)
-    with open(os.path.join(idx, "merge_stage", "gkey=3", "junk.parquet"), "wb") as f:
+    os.makedirs(os.path.join(idx, "dedup_losers"), exist_ok=True)
+    with open(os.path.join(idx, "dedup_losers", "junk.parquet"), "wb") as f:
         f.write(b"partial")
     os.makedirs(os.path.join(idx, "shard_input"), exist_ok=True)
     with open(os.path.join(idx, "parts", ".postings.parquet.deadbeef.tmp"), "wb") as f:
@@ -107,13 +107,13 @@ def test_cli_purge_crash_leftovers(built_cli, capsys, tmp_path):
     rc = main(["purge", idx, "--dry-run"])
     assert rc == 0
     dry = json.loads(capsys.readouterr().out)
-    assert any(p.endswith("merge_stage") for p in dry["staging_dirs"])
-    assert os.path.isdir(os.path.join(idx, "merge_stage")), "dry-run must not delete"
+    assert any(p.endswith("dedup_losers") for p in dry["staging_dirs"])
+    assert os.path.isdir(os.path.join(idx, "dedup_losers")), "dry-run must not delete"
 
     rc = main(["purge", idx])
     assert rc == 0
     rep = json.loads(capsys.readouterr().out)
-    assert not os.path.exists(os.path.join(idx, "merge_stage"))
+    assert not os.path.exists(os.path.join(idx, "dedup_losers"))
     assert not os.path.exists(os.path.join(idx, "shard_input"))
     assert not os.path.exists(os.path.join(idx, "fragments"))
     assert not os.path.exists(os.path.join(idx, "parts", ".postings.parquet.deadbeef.tmp"))

@@ -554,6 +554,31 @@ def test_dup_clusters_connected_components():
     assert (t["n_members"] > 1).any()
 
 
+def test_dup_clusters_no_pairs(tmp_path):
+    """An empty near-dup pair graph must not crash the cluster
+    assignment: every doc is its own canonical singleton."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    from docinsight_ray.functions.dedup import q_dup_clusters, q_ngram_jaccard_pairs
+
+    texts = [
+        "alpha beta gamma delta epsilon",
+        "zeta eta theta iota kappa",
+        "lambda mu nu xi omicron",
+    ]
+    pq.write_table(
+        pa.table({"doc_id": pa.array([7, 3, 11], type=pa.int64()), "text": texts}),
+        str(tmp_path / "documents.parquet"),
+    )
+    assert q_ngram_jaccard_pairs(str(tmp_path)).num_rows == 0
+    t = q_dup_clusters(str(tmp_path)).to_pandas().sort_values("doc_id")
+    assert t["doc_id"].tolist() == [3, 7, 11]
+    assert t["cluster_id"].tolist() == [3, 7, 11]
+    assert t["n_members"].tolist() == [1, 1, 1]
+    assert t["is_canonical"].tolist() == [1, 1, 1]
+
+
 def test_bm25_facets_parity_and_totals():
     """bm25_facets: DuckDB oracle parity at sf0.001; facet totals per
     query equal the candidate-set size (docs matching >=1 query term)."""
@@ -632,6 +657,42 @@ def test_event_transitions_parity_and_mass():
         "SELECT count(*), count(DISTINCT user_id) FROM events"
     ).fetchone()
     assert got["cnt"].sum() == n_events - n_users
+
+
+def test_nation_join_fk_key_above_range_raises():
+    """A custkey above every customer key fails loudly (it used to
+    index past the end of the broadcast arrays)."""
+    from docinsight_ray.pipelines.relational import _nation_of
+
+    ckeys = np.array([1, 2, 4], dtype=np.int64)
+    cnk = np.array([10, 20, 40], dtype=np.int64)
+    np.testing.assert_array_equal(_nation_of(ckeys, cnk, np.array([4, 1, 2])), [40, 10, 20])
+    with pytest.raises(ValueError, match=r"no customer row: \[9\]"):
+        _nation_of(ckeys, cnk, np.array([1, 9], dtype=np.int64))
+
+
+def test_nation_join_fk_gap_inside_range_raises(tmp_path):
+    """A custkey missing inside the key range fails loudly instead of
+    taking its neighbour's nation — in the helper and through the
+    broadcast join of q_orders_by_nation."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    from docinsight_ray.pipelines.relational import _nation_of, q_orders_by_nation
+
+    ckeys = np.array([1, 2, 4], dtype=np.int64)
+    cnk = np.array([10, 20, 40], dtype=np.int64)
+    with pytest.raises(ValueError, match=r"no customer row: \[3\]"):
+        _nation_of(ckeys, cnk, np.array([2, 3, 3], dtype=np.int64))
+
+    pq.write_table(pa.table({"c_custkey": [1, 2, 4], "c_nationkey": [0, 1, 0]}),
+                   str(tmp_path / "customer.parquet"))
+    pq.write_table(pa.table({"n_nationkey": [0, 1], "n_name": ["ALGERIA", "BRAZIL"]}),
+                   str(tmp_path / "nation.parquet"))
+    pq.write_table(pa.table({"o_custkey": [1, 3], "o_totalprice": [10.0, 20.0]}),
+                   str(tmp_path / "orders.parquet"))
+    with pytest.raises(Exception, match="foreign-key gap"):
+        q_orders_by_nation(str(tmp_path))
 
 
 def test_revenue_by_nation_parity_and_conservation():

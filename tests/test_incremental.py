@@ -1,5 +1,7 @@
 """Windowed incremental indexing: appends are rank-identical to a
-single build over the concatenated corpus."""
+single build over the concatenated corpus, with exact dedup resolved by
+arrival order — across windows the earliest-arriving copy of a content
+is kept, even when a later copy has the smaller doc_id."""
 
 import numpy as np
 import pytest
@@ -190,6 +192,54 @@ def test_compaction_rank_identical_and_crash_safe(ray_session, tmp_path):
     # still identical through a single sub-index
     assert not any(os.path.basename(d) in ("window=000", "window=001") for d in live)
     check("fully-compacted")
+
+
+def test_cross_window_dedup_keeps_earliest_arrival(ray_session, tmp_path):
+    """Across windows the earliest-arriving copy of a content wins, even
+    when a later copy has the smaller doc_id (a single build would keep
+    that later copy): query_windows returns the earlier-arrived doc,
+    before and after compact_windows."""
+    import pyarrow as pa
+    import ray.data
+
+    from docinsight_ray.ids import doc_id_from_key
+    from docinsight_ray.pipelines.incremental import compact_windows
+
+    corpus = gen_corpus(120, seed=31, with_cases=False)
+    contents = corpus["content"].to_pylist()
+    i = next(j for j, c in enumerate(contents[:60]) if contents.count(c) == 1)
+    row = corpus.slice(i, 1)
+    first_id = int(doc_id_from_key(row["repo"].to_pylist(), row["path"].to_pylist(),
+                                   row["commit"].to_pylist())[0])
+    # a second key for the same content whose doc_id is SMALLER
+    repo = next(
+        r for r in (f"later{n}/repo" for n in range(1000))
+        if int(doc_id_from_key([r], row["path"].to_pylist(), row["commit"].to_pylist())[0])
+        < first_id
+    )
+    late_copy = row.set_column(0, "repo", pa.array([repo]))
+    late_id = int(doc_id_from_key([repo], row["path"].to_pylist(), row["commit"].to_pylist())[0])
+    w2 = pa.concat_tables([corpus.slice(60), late_copy])
+
+    # the case is real: a single build over the concatenation keeps the
+    # later-arriving, smaller-doc_id copy
+    text = contents[i]
+    od, _ = OracleIndex(pa.concat_tables([corpus.slice(0, 60), w2]), CFG).score(text, 5)
+    assert late_id in od.tolist() and first_id not in od.tolist()
+
+    root = str(tmp_path / "arrival")
+    append_window(ray.data.from_arrow(corpus.slice(0, 60)), root, "000", CFG)
+    append_window(ray.data.from_arrow(w2), root, "001", CFG)
+    qds = ray.data.from_arrow(queries_table([(0, text, 5)]))
+
+    def top_ids():
+        out = query_windows(qds, root, CFG, mode="taat").to_pandas()
+        return out.sort_values("rank").doc_id.astype(np.uint64).tolist()
+
+    before = top_ids()
+    assert before[0] == first_id and late_id not in before
+    compact_windows(root, cfg=CFG)
+    assert top_ids() == before
 
 
 def test_cross_window_dedup_bloom_path(ray_session, tmp_path):

@@ -153,21 +153,13 @@ def _run_suite(sf_dir: str, num_cpus: int) -> dict:
     if os.environ.get("BENCH_PIPELINES") == "scaling":
         from docinsight_ray.scorer import query_index as _qi
 
+        # a pool of >= 2 eager actors shares one object-store copy of
+        # the index (scorer.scorer_pool) — the node-resident serving path
         with timed("bm25_actor_pool"):
             qds = ray.data.from_arrow(queries_table(queries)).repartition(max(8, num_cpus))
             _qi(qds, idx_dir, cfg, mode="maxscore",
                 concurrency=max(2, num_cpus // 4)).count()
         extra["actor_pool_qps"] = round(len(queries) / timings["bm25_actor_pool"], 1)
-        # shared-state pool: the index decodes ONCE into plasma
-        # (query_index(preload=True)); actors read zero-copy instead of
-        # each paying the parquet load — the node-resident serving path
-        with timed("bm25_actor_pool_shared"):
-            qds = ray.data.from_arrow(queries_table(queries)).repartition(max(8, num_cpus))
-            _qi(qds, idx_dir, cfg, mode="maxscore",
-                concurrency=max(2, num_cpus // 4), preload=True).count()
-        extra["actor_pool_shared_qps"] = round(
-            len(queries) / timings["bm25_actor_pool_shared"], 1
-        )
         ray.shutdown()
         return {
             "metric": "throughput stages (index build + actor-pool BM25)",
@@ -471,8 +463,6 @@ def main() -> None:
         b32 = results[32]["stats"]["build_docs_per_sec"]
         q8 = results[8]["stats"]["actor_pool_qps"]
         q32 = results[32]["stats"]["actor_pool_qps"]
-        s8 = results[8]["stats"]["actor_pool_shared_qps"]
-        s32 = results[32]["stats"]["actor_pool_shared_qps"]
         print(json.dumps({
             "metric": "throughput scaling (8 vs 32 CPUs, fresh processes, same input)",
             "bench_docs": n_docs,
@@ -480,8 +470,6 @@ def main() -> None:
             "build_scaling_efficiency": round((b32 / b8) / 4, 3),
             "query_qps_8": q8, "query_qps_32": q32,
             "query_scaling_efficiency": round((q32 / q8) / 4, 3),
-            "query_shared_qps_8": s8, "query_shared_qps_32": s32,
-            "query_shared_scaling_efficiency": round((s32 / s8) / 4, 3),
             "detail_8": results[8]["queries"],
             "detail_32": results[32]["queries"],
         }))
@@ -515,19 +503,12 @@ def main() -> None:
             b32 = scaling[32]["stats"]["build_docs_per_sec"]
             q8 = scaling[8]["stats"]["actor_pool_qps"]
             q32 = scaling[32]["stats"]["actor_pool_qps"]
-            s8 = scaling[8]["stats"]["actor_pool_shared_qps"]
-            s32 = scaling[32]["stats"]["actor_pool_shared_qps"]
             result["stats"]["strong_scaling"] = {
                 "bench_docs": int(sc_docs),
                 "build_docs_per_sec_8cpu": b8, "build_docs_per_sec_32cpu": b32,
                 "build_efficiency": round((b32 / b8) / (32 / 8), 3),
                 "query_qps_8cpu": q8, "query_qps_32cpu": q32,
                 "query_efficiency": round((q32 / q8) / (32 / 8), 3),
-                # shared-state pool (preload=True): one plasma-resident
-                # decoded index per node, zero-copy actor views — the
-                # serving path a node-resident deployment runs
-                "query_shared_qps_8cpu": s8, "query_shared_qps_32cpu": s32,
-                "query_shared_efficiency": round((s32 / s8) / (32 / 8), 3),
                 "protocol": "throughput stages only (index build + actor-pool "
                             "BM25); single-actor latency loops are serial by "
                             "design and excluded from the quotient (BASELINE.md)",

@@ -537,6 +537,88 @@ def _load_stats(index_dir: str) -> dict[str, Any]:
     return json.loads(read_bytes(os.path.join(index_dir, "corpus_stats.json")))
 
 
+def keep_first_losers(docs_ds: "ray.data.Dataset", cfg: EngineConfig):
+    """Exact keep-first dedup over a docs registry Dataset (columns
+    content_sha256, doc_id, doc_len): every copy of a content except
+    the one with the smallest doc_id loses. Returns the loser
+    (doc_id, doc_len) rows, or None when no content repeats. Narrow
+    projection shuffle only — content never moves. Two tiers, the same
+    rows (test_dedup_join_path):
+
+    * loser count <= ``cfg.broadcast_limit`` (duplicate shas are rare —
+      the reference's re-ingest skip semantics): a small ``pa.Table``,
+      picked driver-side from just the duplicate-sha rows;
+    * above it: a lazy Dataset — ``groupby(sha).min`` winners hash-
+      joined back — so no process holds the loser set."""
+    sha_counts = (
+        docs_ds.select_columns(["content_sha256"])
+        .groupby("content_sha256")
+        .aggregate(RayCount(alias_name="n"))
+    )
+    dup_ds = sha_counts.map_batches(
+        lambda t: t.filter(pc.greater(t["n"], pa.scalar(1))),
+        batch_format="pyarrow",
+    ).materialize()  # bounded by the duplicate-sha count
+    n_dup_shas = dup_ds.count()
+    if n_dup_shas == 0:
+        return None
+    if int(dup_ds.sum("n")) - n_dup_shas <= cfg.broadcast_limit:
+        dup_df = dup_ds.to_pandas()
+        dup_ref = ray.put(pa.array(sorted(dup_df["content_sha256"]), type=pa.string()))
+
+        def only_dups(batch: pa.Table, *, _ref=dup_ref) -> pa.Table:
+            mask = pc.is_in(batch["content_sha256"], value_set=ray.get(_ref))
+            return batch.select(["content_sha256", "doc_id", "doc_len"]).filter(mask)
+
+        dup_rows = docs_ds.map_batches(only_dups, batch_format="pyarrow").to_pandas()
+        dup_rows = dup_rows.sort_values("doc_id")
+        losers_df = dup_rows[dup_rows.duplicated("content_sha256", keep="first")]
+        return pa.Table.from_pandas(losers_df[["doc_id", "doc_len"]], preserve_index=False)
+
+    from ray.data.aggregate import Min as RayMin
+
+    # Ray 2.49 hazard: Min on full-range uint64 overflows (Python int ->
+    # C long) and can SIGSEGV the hash-shuffle aggregator. Order-
+    # preserving workaround: aggregate the sign-bit-flipped int64 view
+    # (uint64 order == int64 order after XOR 2^63), keep the real
+    # doc_id alongside.
+    def with_skey(t: pa.Table) -> pa.Table:
+        ids = t["doc_id"].to_numpy(zero_copy_only=False).astype(np.uint64)
+        skey = (ids ^ np.uint64(1 << 63)).view(np.int64)
+        return pa.table(
+            {
+                "content_sha256": t["content_sha256"],
+                "doc_id": t["doc_id"],
+                "doc_len": t["doc_len"],
+                "skey": pa.array(skey, type=pa.int64()),
+            }
+        )
+
+    shifted = docs_ds.select_columns(
+        ["content_sha256", "doc_id", "doc_len"]
+    ).map_batches(with_skey, batch_format="pyarrow")
+    winners = (
+        shifted.select_columns(["content_sha256", "skey"])
+        .groupby("content_sha256")
+        .aggregate(RayMin("skey", alias_name="winner_skey"))
+        # Ray 2.49: joins break on empty right-side blocks
+        # (docinsight_ray.joins) — consolidate first
+        .repartition(cfg.num_buckets)
+    )
+    joined = shifted.join(
+        winners,
+        join_type="inner",
+        num_partitions=cfg.num_buckets,
+        on=("content_sha256",),
+    )
+
+    def keep_losers(t: pa.Table) -> pa.Table:
+        mask = pc.not_equal(t["skey"], t["winner_skey"])
+        return t.select(["doc_id", "doc_len"]).filter(mask)
+
+    return joined.map_batches(keep_losers, batch_format="pyarrow")
+
+
 def build_index(
     corpus: "ray.data.Dataset",
     index_dir: str,
@@ -642,111 +724,40 @@ def build_index(
     docs_ds = ray.data.read_parquet(docs_dir)
 
     t0 = time.monotonic()
-    # ---- Dedup winners (exact, content_sha256, keep min doc_id) + stats.
-    # Narrow projection shuffle only — content never moves. Two paths,
-    # identical output (test_dedup_join_path):
-    #   * loser count <= cfg.broadcast_limit (duplicate shas are rare —
-    #     the reference's re-ingest skip semantics): fetch just the dup
-    #     rows, pick losers driver-side, broadcast the loser set;
-    #   * above the limit: distributed keep-first — groupby(sha).min
-    #     winners, hash join back, spill the loser (doc_id, doc_len)
-    #     set to parquet, and anti-join the fragments against it
-    #     (docinsight_ray.joins) so no process holds the loser set.
-    losers = np.empty(0, dtype=np.uint64)  # broadcast-path loser ids
-    losers_len = 0
-    losers_count = 0
-    losers_spill: str | None = None  # join-path loser Dataset location
+    # ---- Dedup (exact, content_sha256, keep min doc_id): loser
+    # (doc_id, doc_len) rows from keep_first_losers, or an externally
+    # computed spill (sharded global dedup). One consumer: a small
+    # loser set is broadcast (AssignGroupKey drops it), a large one
+    # spills to parquet and the fragments anti-join it
+    # (docinsight_ray.joins) so no process holds the loser set.
+    losers = np.empty(0, dtype=np.uint64)  # broadcast loser ids
+    losers_len = losers_count = 0
+    losers_spill: str | None = None  # anti-join loser set location
     from .state.fsio import glob_parquet as _gp
 
+    found = None  # loser rows: a small pa.Table or a parquet spill dir
     if ext_losers_dir is not None and _gp(ext_losers_dir):
-        # externally-computed loser set (sharded global dedup): stats
-        # from the narrow spill; small sets broadcast, large sets take
-        # the same anti-join path as the internal join-path dedup
-        losers_ds = ray.data.read_parquet(_gp(ext_losers_dir))
-        losers_count = losers_ds.count()
-        losers_len = int(losers_ds.sum("doc_len") or 0)
-        if losers_count <= cfg.broadcast_limit:
-            losers = np.sort(
-                losers_ds.to_pandas()["doc_id"].to_numpy().astype(np.uint64)
-            )
-        else:
-            losers_spill = ext_losers_dir
+        found = ext_losers_dir
     elif cfg.dedup:
-        sha_counts = (
-            docs_ds.select_columns(["content_sha256"])
-            .groupby("content_sha256")
-            .aggregate(RayCount(alias_name="n"))
-        )
-        dup_ds = sha_counts.map_batches(
-            lambda t: t.filter(pc.greater(t["n"], pa.scalar(1))),
-            batch_format="pyarrow",
-        ).materialize()  # bounded by the duplicate-sha count
-        n_dup_shas = dup_ds.count()
-        losers_count = (int(dup_ds.sum("n")) - n_dup_shas) if n_dup_shas else 0
-        if losers_count == 0:
-            pass
-        elif losers_count <= cfg.broadcast_limit:
-            dup_df = dup_ds.to_pandas()
-            dup_ref = ray.put(pa.array(sorted(dup_df["content_sha256"]), type=pa.string()))
-
-            def only_dups(batch: pa.Table, *, _ref=dup_ref) -> pa.Table:
-                mask = pc.is_in(batch["content_sha256"], value_set=ray.get(_ref))
-                return batch.select(["content_sha256", "doc_id", "doc_len"]).filter(mask)
-
-            dup_rows = docs_ds.map_batches(only_dups, batch_format="pyarrow").to_pandas()
-            dup_rows = dup_rows.sort_values("doc_id")
-            losers_df = dup_rows[dup_rows.duplicated("content_sha256", keep="first")]
-            losers = np.sort(losers_df["doc_id"].to_numpy().astype(np.uint64))
-            losers_len = int(losers_df["doc_len"].sum())
+        found = keep_first_losers(docs_ds, cfg)
+    if isinstance(found, ray.data.Dataset):  # the join tier: spill it
+        own_spill = os.path.join(index_dir, "dedup_losers")
+        fs_rmtree(own_spill)
+        fs_makedirs(own_spill)
+        found.write_parquet(own_spill)
+        found = own_spill
+    if isinstance(found, pa.Table):
+        losers = np.sort(found["doc_id"].to_numpy().astype(np.uint64))
+        losers_len = int(pc.sum(found["doc_len"]).as_py())
+        losers_count = found.num_rows
+    elif found is not None:  # a loser spill on disk
+        spilled = ray.data.read_parquet(_gp(found))
+        losers_count = spilled.count()
+        losers_len = int(spilled.sum("doc_len") or 0)
+        if losers_count <= cfg.broadcast_limit:
+            losers = np.sort(spilled.to_pandas()["doc_id"].to_numpy().astype(np.uint64))
         else:
-            from ray.data.aggregate import Min as RayMin
-
-            # Ray 2.49 hazard: Min on full-range uint64 overflows
-            # (Python int -> C long) and can SIGSEGV the hash-shuffle
-            # aggregator. Order-preserving workaround: aggregate the
-            # sign-bit-flipped int64 view (uint64 order == int64 order
-            # after XOR 2^63), keep the real doc_id alongside.
-            def with_skey(t: pa.Table) -> pa.Table:
-                ids = t["doc_id"].to_numpy(zero_copy_only=False).astype(np.uint64)
-                skey = (ids ^ np.uint64(1 << 63)).view(np.int64)
-                return pa.table(
-                    {
-                        "content_sha256": t["content_sha256"],
-                        "doc_id": t["doc_id"],
-                        "doc_len": t["doc_len"],
-                        "skey": pa.array(skey, type=pa.int64()),
-                    }
-                )
-
-            shifted = docs_ds.select_columns(
-                ["content_sha256", "doc_id", "doc_len"]
-            ).map_batches(with_skey, batch_format="pyarrow")
-            winners = (
-                shifted.select_columns(["content_sha256", "skey"])
-                .groupby("content_sha256")
-                .aggregate(RayMin("skey", alias_name="winner_skey"))
-                # Ray 2.49: joins break on empty right-side blocks
-                # (docinsight_ray.joins) — consolidate first
-                .repartition(cfg.num_buckets)
-            )
-            joined = shifted.join(
-                winners,
-                join_type="inner",
-                num_partitions=cfg.num_buckets,
-                on=("content_sha256",),
-            )
-
-            def keep_losers(t: pa.Table) -> pa.Table:
-                mask = pc.not_equal(t["skey"], t["winner_skey"])
-                return t.select(["doc_id", "doc_len"]).filter(mask)
-
-            losers_spill = os.path.join(index_dir, "dedup_losers")
-            fs_rmtree(losers_spill)
-            fs_makedirs(losers_spill)
-            joined.map_batches(keep_losers, batch_format="pyarrow").write_parquet(losers_spill)
-            losers_stats = ray.data.read_parquet(losers_spill)
-            losers_len = int(losers_stats.sum("doc_len") or 0)
-            losers_count = losers_stats.count()
+            losers_spill = found
 
     _stage("dedup", t0, losers=int(losers_count),
            path="join" if losers_spill else "broadcast")

@@ -1033,6 +1033,8 @@ def cmd_bench(args) -> int:
 
 
 def main(argv=None) -> int:
+    from .scorer import MODES
+
     p = argparse.ArgumentParser(prog="docinsight_ray", description=__doc__)
     p.add_argument("--num-cpus", type=int, default=None)
     # also accepted after the subcommand (common first-use stumble)
@@ -1063,9 +1065,7 @@ def main(argv=None) -> int:
     q.add_argument("index_dir")
     q.add_argument("text", nargs="+")
     q.add_argument("-k", type=int, default=10)
-    q.add_argument("--mode", default="taat",
-                   choices=["taat", "bmw", "maxscore", "conjunctive", "lmdir",
-                            "bm25plus"])
+    q.add_argument("--mode", default="taat", choices=MODES)
     q.add_argument("--tokenizer", default=None, choices=["code", "simple"],
                    help="default: the index's build-time tokenizer")
     q.add_argument("--exclude-term", action="append", default=None,

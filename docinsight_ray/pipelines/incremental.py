@@ -5,10 +5,13 @@ operator): an append-only corpus arrives as time/ingest windows; each
 window becomes an independent, resumable sub-index
 (``index_root/window=<id>``), and every append re-distributes the
 corpus-wide statistics (n_docs, avgdl, global df) to all windows so
-BM25 scores stay globally correct. Querying fans out over windows and
-exact-merges top-k — identical machinery to doc-sharded serving
-(``sharded.py``), because a window IS a doc-partition keyed by arrival
-time instead of hash.
+BM25 scores stay globally correct. Querying goes through the same
+fan-out path as doc-sharded serving (``sharded.fan_out``: one scorer
+pool per window, exact top-k merge), because a window IS a
+doc-partition keyed by arrival time instead of hash. "Live" windows
+(``_live_windows``) are the committed ones not superseded by a
+committed compaction; every query, append, delete and compaction
+works on that one set.
 
 Contract (tested in tests/test_incremental.py): after appending
 windows W1..Wn, results are rank-identical to a single build over the
@@ -47,9 +50,8 @@ import ray.data
 
 from ..build import build_index
 from ..config import EngineConfig
-from ..scorer import BM25Scorer
 from .merge import _drop_tombstoned, restage_and_build
-from .sharded import distribute_global_stats, merge_topk
+from .sharded import distribute_global_stats, fan_out
 
 
 def _window_dirs(index_root: str) -> list[str]:
@@ -71,6 +73,19 @@ def _window_stats(d: str) -> dict | None:
     return None if data is None else json.loads(data)
 
 
+def _live_windows(index_root: str) -> list[tuple[str, dict]]:
+    """(dir, stats) of every LIVE window: committed, and not superseded
+    by a committed compaction — a superseded window still on disk
+    (``delete_sources=False``, or a crash before deletion) holds docs
+    the compacted window already carries, so counting it would
+    double-count every statistic and every result."""
+    superseded = _compacted_sources(index_root)
+    return [
+        (d, s) for d in _window_dirs(index_root)
+        if os.path.basename(d) not in superseded and (s := _window_stats(d)) is not None
+    ]
+
+
 def append_window(
     corpus_window: "ray.data.Dataset",
     index_root: str,
@@ -80,7 +95,7 @@ def append_window(
     refresh_stats: bool = True,
 ) -> list[str]:
     """Index one corpus window and refresh global stats across all
-    windows. Returns the current window dir list.
+    windows. Returns the live window dirs.
 
     ``refresh_stats=False`` defers the global-stats redistribution —
     the batched-append path (``append_windows`` /
@@ -116,12 +131,7 @@ def append_window(
         # (it would filter out every row of the resumed append), and
         # other partially-built windows aren't committed corpus either
         this_dir = os.path.join(index_root, f"window={window_id}")
-        superseded = _compacted_sources(index_root)
-        prior_stats = [
-            (d, _window_stats(d)) for d in _window_dirs(index_root)
-            if d != this_dir and os.path.basename(d) not in superseded
-        ]
-        prior_stats = [(d, s) for d, s in prior_stats if s is not None]
+        prior_stats = [(d, s) for d, s in _live_windows(index_root) if d != this_dir]
         docs_dirs = [os.path.join(d, "docs") for d, _ in prior_stats
                      if fs_exists(os.path.join(d, "docs"))]
         n_seen = sum(s.get("shard_n_docs", s["n_docs"]) for _, s in prior_stats)
@@ -172,15 +182,7 @@ def append_window(
 
     d = os.path.join(index_root, f"window={window_id}")
     build_index(corpus_window, d, cfg, fingerprint=f"window:{window_id}")
-    # LIVE windows only: sources superseded by a committed compaction
-    # still on disk (delete_sources=False) hold docs the compacted
-    # window already carries — including them would double-count every
-    # global statistic (n_docs, avgdl, df) across the whole index
-    superseded = _compacted_sources(index_root)
-    dirs = [
-        w for w in _window_dirs(index_root)
-        if os.path.basename(w) not in superseded
-    ]
+    dirs = [w for w, _ in _live_windows(index_root)]
     # incremental df path: prior snapshot + this window's parts (falls
     # back to full re-aggregation when coverage doesn't line up)
     if refresh_stats:
@@ -194,11 +196,7 @@ def refresh_global_stats(index_root: str, appended: str | None = None) -> list[s
     refresh_stats=False)`` appends. With multiple new windows the
     coverage marker can't match, so this is the full (term, df)
     re-aggregation; still O(dictionary), never O(postings)."""
-    superseded = _compacted_sources(index_root)
-    dirs = [
-        w for w in _window_dirs(index_root)
-        if os.path.basename(w) not in superseded
-    ]
+    dirs = [w for w, _ in _live_windows(index_root)]
     distribute_global_stats(dirs, appended=appended)
     return dirs
 
@@ -283,13 +281,10 @@ def delete_docs(
 
     ids: list = list(doc_ids or [])
     if shas:
-        superseded = _compacted_sources(index_root)
-        docs_files = []
-        for d in _window_dirs(index_root):
-            if os.path.basename(d) in superseded or _window_stats(d) is None:
-                continue
-            dd = os.path.join(d, "docs")
-            docs_files.extend(read_parquet_files(dd))
+        docs_files = [
+            f for d, _ in _live_windows(index_root)
+            for f in read_parquet_files(os.path.join(d, "docs"))
+        ]
         if docs_files:
             want = pa.array(sorted(set(shas)), type=pa.string())
 
@@ -348,11 +343,9 @@ def plan_compaction(
     Returns window ids (without the ``window=`` prefix) for
     ``compact_windows(window_ids=...)``; pure planning — no I/O beyond
     stats reads."""
-    excluded = _compacted_sources(index_root)
     live = sorted(
         (int(s.get("shard_n_docs", s["n_docs"])), os.path.basename(d))
-        for d in _window_dirs(index_root)
-        if os.path.basename(d) not in excluded and (s := _window_stats(d)) is not None
+        for d, s in _live_windows(index_root)
     )
     if len(live) <= max_windows:
         return []
@@ -409,18 +402,15 @@ def compact_windows(
     from ..state.fsio import read_bytes, rmtree as fs_rmtree
 
     cfg = cfg or EngineConfig()
-    committed = [(d, s) for d in _window_dirs(index_root)
-                 if (s := _window_stats(d)) is not None]
-    excluded = _compacted_sources(index_root)
-    committed = [(d, s) for d, s in committed if os.path.basename(d) not in excluded]
+    live = _live_windows(index_root)
     if window_ids is not None:
         want = {f"window={w}" for w in window_ids}
-        sources = [(d, s) for d, s in committed if os.path.basename(d) in want]
+        sources = [(d, s) for d, s in live if os.path.basename(d) in want]
         if len(sources) != len(want):
             have = {os.path.basename(d) for d, _ in sources}
             raise FileNotFoundError(f"compact_windows: missing committed windows: {sorted(want - have)}")
     else:
-        sources = committed
+        sources = live
     if not sources:
         raise FileNotFoundError(f"compact_windows: no committed windows under {index_root}")
     src_names = sorted(os.path.basename(d) for d, _ in sources)
@@ -468,14 +458,9 @@ def compact_windows(
     # every tombstone physically — clear them. Partial compactions keep
     # the tombstones: untouched windows may still hold the doc_ids, and
     # a tombstone for an already-removed doc is a harmless no-op.
-    if dead.size and len(sources) == len(committed):
+    if dead.size and len(sources) == len(live):
         fs_rmtree(os.path.join(index_root, "tombstones"))
-    live = _compacted_sources(index_root)
-    remaining = [
-        d for d in _window_dirs(index_root)
-        if _window_stats(d) is not None and os.path.basename(d) not in live
-    ]
-    distribute_global_stats(remaining)
+    distribute_global_stats([d for d, _ in _live_windows(index_root)])
     return out_dir
 
 
@@ -508,11 +493,15 @@ def query_windows(
     synonyms: dict[str, tuple[str, ...]] | None = None,
     boosts: dict[str, float] | None = None,
 ) -> "ray.data.Dataset":
-    """Fan queries over all window sub-indexes; exact top-k merge
-    (same shape as sharded.query_sharded). Docs tombstoned via
-    ``delete_docs`` are excluded from every result (each scorer actor
-    reads the small tombstones dir once; scores of surviving docs keep
-    the pre-delete corpus statistics until compaction).
+    """Fan queries over every live, non-empty window sub-index and
+    exact-merge top-k through ``sharded.fan_out``, the path
+    ``sharded.query_sharded`` takes. With ``concurrency_per_window`` > 1
+    each window decodes once into the object store and its pool actors
+    share that copy (``scorer.scorer_pool``); one actor per window reads
+    its own window. Docs tombstoned via ``delete_docs`` are excluded
+    from every result (each scorer actor reads the small tombstones dir
+    once; scores of surviving docs keep the pre-delete corpus
+    statistics until compaction).
 
     ``doc_filter`` / ``exclude_terms`` / ``include_doc_ids`` carry the
     single-index semantics window-locally, exactly as
@@ -525,40 +514,14 @@ def query_windows(
 
     cfg = cfg or EngineConfig()
     tomb_dir = os.path.join(index_root, "tombstones")
-    tomb: str | None = tomb_dir if glob_parquet(tomb_dir) else None
-    excluded = _compacted_sources(index_root)
-    dirs = []
-    for d in _window_dirs(index_root):
-        # skip empty windows (fully-deduplicated appends),
-        # partially-built dirs (no committed corpus_stats yet), and
-        # windows superseded by a committed compaction (their docs live
-        # in the compacted window now — serving both would double-count)
-        if os.path.basename(d) in excluded:
-            continue
-        s = _window_stats(d)
-        if s is not None and s.get("shard_n_docs", s["n_docs"]) > 0:
-            dirs.append(d)
+    # empty windows (fully-deduplicated appends) have nothing to serve
+    dirs = [d for d, s in _live_windows(index_root) if s.get("shard_n_docs", s["n_docs"]) > 0]
     if not dirs:
         raise FileNotFoundError(f"no non-empty window=* sub-indexes under {index_root}")
-    results = [
-        queries.map_batches(
-            BM25Scorer,
-            fn_constructor_args=(d, cfg, mode, True),  # emit_k: carry k to the merge
-            fn_constructor_kwargs={
-                "exclude_doc_ids": tomb,
-                "doc_filter": doc_filter,
-                "exclude_terms": exclude_terms,
-                "include_doc_ids": include_doc_ids,
-                "min_should_match": min_should_match,
-                "synonyms": synonyms,
-                "boosts": boosts,
-            },
-            batch_format="pyarrow",
-            batch_size=cfg.query_batch_size,
-            concurrency=concurrency_per_window,
-            num_cpus=1,
-        )
-        for d in dirs
-    ]
-    union = results[0].union(*results[1:]) if len(results) > 1 else results[0]
-    return union.groupby("query_id").map_groups(merge_topk, batch_format="pyarrow")
+    return fan_out(
+        queries, dirs, cfg, concurrency_per_window, mode=mode,
+        exclude_doc_ids=tomb_dir if glob_parquet(tomb_dir) else None,
+        doc_filter=doc_filter, exclude_terms=exclude_terms,
+        include_doc_ids=include_doc_ids, min_should_match=min_should_match,
+        synonyms=synonyms, boosts=boosts,
+    )

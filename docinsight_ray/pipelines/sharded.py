@@ -31,7 +31,7 @@ import ray.data
 
 from ..build import build_index
 from ..config import EngineConfig
-from ..scorer import RESULTS_SCHEMA, BM25Scorer, load_index_state
+from ..scorer import scorer_pool
 from ..state.manifest import atomic_write_bytes
 
 
@@ -107,14 +107,12 @@ class ShardSplitTokenizer:
 def _write_global_losers(index_dir: str, n_shards: int, cfg: EngineConfig) -> None:
     """GLOBAL exact dedup for the sharded build: a duplicate's copies
     can land in DIFFERENT shards, so per-shard dedup cannot see them.
-    Distributed keep-first (min doc_id per content_sha256) over the
-    narrow union of the per-shard docs registries — content never
-    moves; loser (doc_id, doc_len) rows spill hive-partitioned by the
-    loser's shard so each shard build drops exactly its own losers
-    (build_index ``ext_losers_dir``)."""
-    import pyarrow.compute as pc
-    from ray.data.aggregate import Count as _Count, Min as _Min
-
+    ``build.keep_first_losers`` over the narrow union of the per-shard
+    docs registries — content never moves; the loser (doc_id, doc_len)
+    rows spill hive-partitioned by the loser's shard so each shard
+    build drops exactly its own losers (build_index
+    ``ext_losers_dir``)."""
+    from ..build import keep_first_losers
     from ..state.fsio import glob_parquet, rmtree as fs_rmtree
 
     files = [
@@ -124,89 +122,23 @@ def _write_global_losers(index_dir: str, n_shards: int, cfg: EngineConfig) -> No
     ]
     if not files:
         return
-    docs_all = ray.data.read_parquet(files, columns=["content_sha256", "doc_id", "doc_len"])
-    dup_ds = (
-        docs_all.select_columns(["content_sha256"])
-        .groupby("content_sha256")
-        .aggregate(_Count(alias_name="n"))
-        .map_batches(lambda t: t.filter(pc.greater(t["n"], pa.scalar(1))),
-                     batch_format="pyarrow")
-        .materialize()  # bounded by the duplicate-sha count
+    losers = keep_first_losers(
+        ray.data.read_parquet(files, columns=["content_sha256", "doc_id", "doc_len"]), cfg
     )
-    n_dup_shas = dup_ds.count()
-    if n_dup_shas == 0:
+    if losers is None:
         return
-    out_dir = os.path.join(index_dir, "dedup_global")
-    fs_rmtree(out_dir)
-    losers_count = int(dup_ds.sum("n")) - n_dup_shas
-    if losers_count <= cfg.broadcast_limit:
-        # broadcast fast path (duplicates are rare): fetch ONLY the
-        # dup-sha rows, keep-first driver-side, write the small spill
-        # directly — the distributed join below costs seconds of fixed
-        # shuffle setup that dominates at bench scale (same two-path
-        # split as build_index's own dedup)
-        from ..state.fsio import makedirs as fs_makedirs, write_parquet_atomic
+    if isinstance(losers, pa.Table):
+        losers = ray.data.from_arrow(losers)
 
-        dup_ref = ray.put(pa.array(sorted(dup_ds.to_pandas()["content_sha256"]),
-                                   type=pa.string()))
-
-        def only_dups(batch: pa.Table, *, _ref=dup_ref) -> pa.Table:
-            return batch.filter(pc.is_in(batch["content_sha256"], value_set=ray.get(_ref)))
-
-        dup_rows = docs_all.map_batches(only_dups, batch_format="pyarrow").to_pandas()
-        dup_rows = dup_rows.sort_values("doc_id")
-        losers_df = dup_rows[dup_rows.duplicated("content_sha256", keep="first")]
-        ids = losers_df["doc_id"].to_numpy().astype(np.uint64)
-        shard = (ids % np.uint64(n_shards)).astype(np.int64)
-        for s in np.unique(shard):
-            m = shard == s
-            fs_makedirs(os.path.join(out_dir, f"shard={int(s)}"))
-            write_parquet_atomic(
-                pa.table(
-                    {
-                        "doc_id": pa.array(ids[m], type=pa.uint64()),
-                        "doc_len": pa.array(
-                            losers_df["doc_len"].to_numpy()[m].astype(np.uint32),
-                            type=pa.uint32(),
-                        ),
-                    }
-                ),
-                os.path.join(out_dir, f"shard={int(s)}", "losers.parquet"),
-            )
-        return
-
-    def with_skey(t: pa.Table) -> pa.Table:
-        # Ray 2.49 hazard: Min on full-range uint64 overflows — aggregate
-        # the sign-bit-flipped int64 view (order-preserving)
+    def with_shard(t: pa.Table) -> pa.Table:
         ids = t["doc_id"].to_numpy(zero_copy_only=False).astype(np.uint64)
-        skey = (ids ^ np.uint64(1 << 63)).view(np.int64)
-        return t.append_column("skey", pa.array(skey, type=pa.int64()))
-
-    shifted = docs_all.map_batches(with_skey, batch_format="pyarrow")
-    winners = (
-        shifted.select_columns(["content_sha256", "skey"])
-        .groupby("content_sha256")
-        .aggregate(_Min("skey", alias_name="winner_skey"))
-        # Ray 2.49: joins break on empty right-side blocks (joins.py)
-        .repartition(cfg.num_buckets)
-    )
-
-    def keep_losers(t: pa.Table) -> pa.Table:
-        sel = t.filter(pc.not_equal(t["skey"], t["winner_skey"]))
-        ids = sel["doc_id"].to_numpy(zero_copy_only=False).astype(np.uint64)
-        return pa.table(
-            {
-                "doc_id": sel["doc_id"],
-                "doc_len": sel["doc_len"],
-                "shard": pa.array((ids % np.uint64(n_shards)).astype(np.int32),
-                                  type=pa.int32()),
-            }
+        return t.append_column(
+            "shard", pa.array((ids % np.uint64(n_shards)).astype(np.int32), type=pa.int32())
         )
 
-    shifted.join(
-        winners, join_type="inner", num_partitions=cfg.num_buckets,
-        on=("content_sha256",),
-    ).map_batches(keep_losers, batch_format="pyarrow").write_parquet(
+    out_dir = os.path.join(index_dir, "dedup_global")
+    fs_rmtree(out_dir)
+    losers.map_batches(with_shard, batch_format="pyarrow").write_parquet(
         out_dir, partition_cols=["shard"]
     )
 
@@ -327,6 +259,27 @@ def build_sharded_index(
     return shard_dirs
 
 
+def fan_out(
+    queries: "ray.data.Dataset",
+    sub_dirs: list[str],
+    cfg: EngineConfig,
+    concurrency: int,
+    **scorer_kwargs,
+) -> "ray.data.Dataset":
+    """The one query path over doc-partitioned sub-indexes (hash shards
+    or arrival windows): a ``scorer.scorer_pool`` of ``concurrency``
+    actors per sub-index (same state rule as ``query_index``), each
+    emitting its top-k with the requested k, then ``union`` and an
+    exact per-query ``merge_topk``. ``scorer_kwargs`` go to every
+    BM25Scorer."""
+    results = [
+        scorer_pool(queries, d, cfg, concurrency, emit_k=True, **scorer_kwargs)
+        for d in sub_dirs
+    ]
+    union = results[0].union(*results[1:]) if len(results) > 1 else results[0]
+    return union.groupby("query_id").map_groups(merge_topk, batch_format="pyarrow")
+
+
 def query_sharded(
     queries: "ray.data.Dataset",
     index_dir: str,
@@ -340,12 +293,14 @@ def query_sharded(
     min_should_match: int | None = None,
     synonyms: dict[str, tuple[str, ...]] | None = None,
     boosts: dict[str, float] | None = None,
-    preload: bool = False,
 ) -> "ray.data.Dataset":
     """Fan every query out to all shard scorers, then exact-merge the
-    per-shard top-k candidates per query. Hash-empty shards (possible
-    when n_shards approaches the doc count) are skipped — their
-    empty-but-valid sub-indexes have no postings to serve.
+    per-shard top-k candidates per query (``fan_out``). Hash-empty
+    shards (possible when n_shards approaches the doc count) are
+    skipped — their empty-but-valid sub-indexes have no postings to
+    serve. With ``concurrency_per_shard`` > 1 each shard decodes once
+    into the object store and its pool actors share that copy
+    (``scorer.scorer_pool``); one actor per shard reads its own shard.
 
     ``doc_filter`` / ``exclude_terms`` / ``include_doc_ids`` carry the
     single-index semantics shard-locally: each shard resolves the
@@ -361,7 +316,7 @@ def query_sharded(
     from ..state.fsio import read_bytes
 
     cfg = cfg or EngineConfig()
-    shard_results = []
+    dirs = []
     for s in range(n_shards):
         d = os.path.join(index_dir, f"shard={s}")
         raw = read_bytes(os.path.join(d, "corpus_stats.json"))
@@ -371,34 +326,15 @@ def query_sharded(
                 f"(expected {n_shards} shard=* sub-indexes under {index_dir})"
             )
         st = json.loads(raw)
-        if st.get("shard_n_docs", st["n_docs"]) == 0:
-            continue
-        # preload: each shard decodes ONCE into the object store; its
-        # pool actors share the plasma copy (scorer.load_index_state —
-        # on a real cluster, one resident copy per node per shard)
-        shared = load_index_state(d) if preload else None
-        shard_results.append(
-            queries.map_batches(
-                BM25Scorer,
-                # emit_k: carry k to the merge
-                fn_constructor_args=(d, cfg, mode, True, None, doc_filter, exclude_terms),
-                fn_constructor_kwargs={
-                    "include_doc_ids": include_doc_ids,
-                    "min_should_match": min_should_match,
-                    "synonyms": synonyms,
-                    "boosts": boosts,
-                    "shared_state": shared,
-                },
-                batch_format="pyarrow",
-                batch_size=cfg.query_batch_size,
-                concurrency=concurrency_per_shard,
-                num_cpus=1,
-            )
-        )
-    if not shard_results:
+        if st.get("shard_n_docs", st["n_docs"]) > 0:
+            dirs.append(d)
+    if not dirs:
         raise FileNotFoundError(f"no non-empty shard=* sub-indexes under {index_dir}")
-    union = shard_results[0].union(*shard_results[1:]) if len(shard_results) > 1 else shard_results[0]
-    return union.groupby("query_id").map_groups(merge_topk, batch_format="pyarrow")
+    return fan_out(
+        queries, dirs, cfg, concurrency_per_shard, mode=mode, doc_filter=doc_filter,
+        exclude_terms=exclude_terms, include_doc_ids=include_doc_ids,
+        min_should_match=min_should_match, synonyms=synonyms, boosts=boosts,
+    )
 
 
 def merge_topk(g: pa.Table) -> pa.Table:

@@ -28,7 +28,7 @@ Scale note: a single actor here holds the whole (test-sized) index.
 On a real cluster the scale-out layout is DOC-sharded serving
 (pipelines/sharded.py): each actor holds a complete sub-index over a
 doc subset with global stats, so its scores are final and the
-``groupby(query_id).map_groups(merge_topk)`` stage is an exact top-k
+per-query ``merge_topk`` stage (``sharded.fan_out``) is an exact top-k
 merge. (Term-partitioned serving was considered and rejected: a doc's
 score spans term shards, so it needs a per-doc partial-score SUM
 shuffle before any top-k — strictly more data movement; ROADMAP §5.)
@@ -49,6 +49,9 @@ from .codec import decode_posting, varbyte_decode
 from .config import EngineConfig
 from .ids import check_term_hash_canary, term_bucket
 from .tokenizer import tokenize_text
+
+# every serving mode; BM25Scorer dispatches mode m to ``score_<m>``
+MODES = ("taat", "bmw", "maxscore", "conjunctive", "lmdir", "bm25plus")
 
 RESULTS_SCHEMA = pa.schema(
     [
@@ -266,13 +269,16 @@ class BM25Scorer:
         _t_init = _time.monotonic()
         from .state.fsio import exists as fs_exists, glob_parquet, read_bytes
 
-        # plasma-shared index state (query_index(preload=True) /
-        # load_index_state): the partition Arrow tables and the narrow
-        # docs table live in the OBJECT STORE — decoded from parquet
-        # once per cluster node instead of once per actor, and the
-        # Arrow buffers are shared-memory zero-copy views, so N pool
-        # actors on a node share one resident copy instead of holding
-        # N. Falls back to per-actor parquet reads when absent.
+        if mode not in MODES:
+            raise ValueError(f"unknown mode {mode!r}; valid modes: {', '.join(MODES)}")
+        # plasma-shared index state (load_index_state, which
+        # scorer_pool hands every actor of a multi-actor eager pool):
+        # the partition Arrow tables and the narrow docs table live in
+        # the OBJECT STORE — decoded from parquet once per cluster node
+        # instead of once per actor, and the Arrow buffers are
+        # shared-memory zero-copy views, so N pool actors on a node
+        # share one resident copy instead of holding N. Without it the
+        # actor reads its own index from parquet.
         self._shared_parts: dict[str, pa.Table] = {}
         _shared_docs: pa.Table | None = None
         if shared_state is not None:
@@ -1148,13 +1154,7 @@ class BM25Scorer:
         import time as _time
 
         _t0 = _time.monotonic()
-        score = {
-            "bmw": self.score_bmw,
-            "maxscore": self.score_maxscore,
-            "conjunctive": self.score_conjunctive,
-            "lmdir": self.score_lmdir,
-            "bm25plus": self.score_bm25plus,
-        }.get(self.mode, self.score_taat)
+        score = getattr(self, f"score_{self.mode}")
         qids, ranks, docs, scores, out_ks = [], [], [], [], []
         ks = batch["k"].to_pylist() if "k" in batch.column_names else [10] * batch.num_rows
         for qid, text, k in zip(batch["query_id"].to_pylist(), batch["text"].to_pylist(), ks):
@@ -1361,16 +1361,15 @@ def expand_fuzzy(
 def load_index_state(index_dir: str):
     """Decode an index's postings partitions + narrow docs table ONCE
     and put them in the Ray object store; returns the ObjectRef that
-    ``query_index(..., preload=True)`` hands every pool actor.
+    ``scorer_pool`` hands every actor of a multi-actor eager pool.
 
     Scale shape: the object ships to each node that schedules a scorer
     actor ONCE (Ray object-store locality), and Arrow buffers read out
     of plasma are shared-memory zero-copy — N actors on a node share a
     single resident decoded copy instead of each paying the parquet
-    read + decompress and holding its own. Use for node-resident
-    indexes (the doc-sharded / windowed paths already bound per-index
-    size); the partition-lazy scorer remains the capped-RSS path when
-    an index must NOT be fully resident."""
+    read + decompress and holding its own. The partition-lazy scorer
+    remains the capped-RSS path when an index must NOT be fully
+    resident."""
     import ray as _ray
 
     from .state.fsio import glob_parquet
@@ -1392,6 +1391,33 @@ def load_index_state(index_dir: str):
     return _ray.put({"parts": parts, "docs": docs.combine_chunks()})
 
 
+def scorer_pool(queries, index_dir: str, cfg: EngineConfig, concurrency: int, **scorer_kwargs):
+    """``queries`` through a pool of ``concurrency`` BM25Scorer actors
+    over one index (``scorer_kwargs`` go to the constructor).
+
+    State rule: an eager pool that may run more than one actor gets
+    ``load_index_state``'s object-store copy, decoded once here and
+    shared zero-copy by its actors (r5: +18% pool q/s, 309 → 365, on
+    the 100k/2,000-query protocol). A single actor, or a
+    partition-lazy scorer (``max_loaded_parts``), reads its own index
+    — sharing would only add a driver-side decode, or make the whole
+    index resident against the lazy scorer's RSS cap."""
+    shared = (
+        load_index_state(index_dir)
+        if concurrency > 1 and not scorer_kwargs.get("max_loaded_parts")
+        else None
+    )
+    return queries.map_batches(
+        BM25Scorer,
+        fn_constructor_args=(index_dir, cfg),
+        fn_constructor_kwargs={**scorer_kwargs, "shared_state": shared},
+        batch_format="pyarrow",
+        batch_size=cfg.query_batch_size,
+        concurrency=concurrency,
+        num_cpus=1,
+    )
+
+
 def query_index(
     queries,
     index_dir: str,
@@ -1406,11 +1432,14 @@ def query_index(
     min_should_match: int | None = None,
     synonyms: dict[str, tuple[str, ...]] | None = None,
     boosts: dict[str, float] | None = None,
-    preload: bool = False,
 ):
     """queries Dataset (query_id, text, k) → results Dataset via the
-    scorer actor pool. ``max_loaded_parts`` > 0 serves with the
-    partition-lazy scorer (capped actor RSS; see BM25Scorer).
+    scorer actor pool (``concurrency`` actors, default
+    ``cfg.scorer_concurrency``). A pool of more than one eager actor
+    shares one object-store copy of the index (``scorer_pool``'s state
+    rule); ``max_loaded_parts`` > 0 serves with the partition-lazy
+    scorer instead (capped actor RSS; see BM25Scorer), each actor
+    reading its own partitions.
     ``doc_filter=(column, values)`` restricts results to docs whose
     registry metadata matches — resolved once per actor, applied at
     posting decode, exact under every pruning mode.
@@ -1425,23 +1454,12 @@ def query_index(
     ``synonyms`` maps query tokens to extra terms (query-time thesaurus
     expansion; ships once per actor, composes with every mode).
     ``boosts`` maps terms to score multipliers (Lucene ``term^2``;
-    taat/maxscore/conjunctive only — pruning stays exact).
-    ``preload=True`` decodes the index ONCE into the object store
-    (``load_index_state``) so pool actors share one zero-copy resident
-    copy instead of each reading parquet — the right default for
-    node-resident indexes at high concurrency; leave off for the
-    partition-lazy capped-RSS path."""
+    taat/maxscore/conjunctive only — pruning stays exact)."""
     cfg = cfg or EngineConfig()
-    shared = load_index_state(index_dir) if preload else None
-    return queries.map_batches(
-        BM25Scorer,
-        fn_constructor_args=(
-            index_dir, cfg, mode, False, max_loaded_parts, doc_filter, exclude_terms,
-            exclude_doc_ids, include_doc_ids, min_should_match, synonyms, boosts,
-            shared,
-        ),
-        batch_format="pyarrow",
-        batch_size=cfg.query_batch_size,
-        concurrency=concurrency or cfg.scorer_concurrency,
-        num_cpus=1,
+    return scorer_pool(
+        queries, index_dir, cfg, concurrency or cfg.scorer_concurrency,
+        mode=mode, max_loaded_parts=max_loaded_parts, doc_filter=doc_filter,
+        exclude_terms=exclude_terms, exclude_doc_ids=exclude_doc_ids,
+        include_doc_ids=include_doc_ids, min_should_match=min_should_match,
+        synonyms=synonyms, boosts=boosts,
     )

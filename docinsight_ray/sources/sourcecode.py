@@ -34,7 +34,10 @@ def load_sourcecode_corpus(root: str = REFERENCE_SOURCECODE_DIR) -> pa.Table:
     """Walk ``root`` and return the corpus table, deterministically
     ordered by (repo, path). Non-source artifacts (e.g. Windows
     ``*Zone.Identifier`` alternate-data-stream droppings in the
-    reference snapshot) are skipped."""
+    reference snapshot) are skipped. Raises FileNotFoundError when
+    ``root`` is not a directory (os.walk would yield an empty corpus)."""
+    if not os.path.isdir(root):
+        raise FileNotFoundError(f"reference source-code corpus not found: {root}")
     rows: list[tuple[str, str, str, str]] = []  # (repo, path, lang, content)
     for dirpath, dirnames, filenames in os.walk(root):
         dirnames.sort()

@@ -6,9 +6,9 @@ instead of a guess. Runs the same stage as bench.py's scaling mode
 (build once, then the actor-pool BM25 pass) with
 ``DOCINSIGHT_ACTOR_PROFILE`` set, so every scorer actor keeps a
 per-pid JSON current with its one-time init cost (index load) and
-cumulative scoring-busy seconds. Reports, per parallelism level and
-for both pool variants (per-actor parquet load vs plasma-shared
-preload):
+cumulative scoring-busy seconds. The pool runs at least two actors,
+so they share one object-store copy of the index
+(``scorer.scorer_pool``). Reports, per parallelism level:
 
     wall            pool wall-clock of the query pass
     n_actors        actors that reported
@@ -37,8 +37,7 @@ import json, os, sys, time
 import ray, ray.data
 
 num_cpus = int(sys.argv[1]); idx_dir = sys.argv[2]
-n_q = int(sys.argv[3]); preload = sys.argv[4] == "1"
-corpus_path = sys.argv[5]
+n_q = int(sys.argv[3]); corpus_path = sys.argv[4]
 
 ray.init(address="local", num_cpus=num_cpus, include_dashboard=False,
          ignore_reinit_error=True, logging_level="ERROR")
@@ -55,7 +54,7 @@ queries = gen_queries(corpus_tbl, n_keyword=n_q, seed=42)
 qds = ray.data.from_arrow(queries_table(queries)).repartition(max(8, num_cpus))
 t0 = time.monotonic()
 n = query_index(qds, idx_dir, cfg, mode="maxscore",
-                concurrency=max(2, num_cpus // 4), preload=preload).count()
+                concurrency=max(2, num_cpus // 4)).count()
 wall = time.monotonic() - t0
 print(json.dumps({"wall": round(wall, 3), "n_results": n,
                   "qps": round(len(queries) / wall, 1)}))
@@ -94,35 +93,33 @@ def main() -> int:
     report: dict[str, dict] = {}
     try:
         for num_cpus in (8, 32):
-            for preload in ("0", "1"):
-                prof = tempfile.mkdtemp(prefix="actor-prof-", dir="/tmp")
-                env = dict(os.environ, DOCINSIGHT_ACTOR_PROFILE=prof,
-                           RAY_ADDRESS="local")
-                out = subprocess.run(
-                    [sys.executable, "-c", _CHILD, str(num_cpus), idx_dir,
-                     str(n_q), preload, corpus_path],
-                    env=env, check=True, cwd=repo, capture_output=True, text=True,
-                ).stdout
-                run = json.loads(out.strip().splitlines()[-1])
-                actors = [json.load(open(f))
-                          for f in glob.glob(os.path.join(prof, "actor-*.json"))]
-                shutil.rmtree(prof, ignore_errors=True)
-                n_act = len(actors)
-                sum_init = round(sum(a["init_s"] for a in actors), 3)
-                sum_busy = round(sum(a["busy_s"] for a in actors), 3)
-                key = f"cpus{num_cpus}_{'shared' if preload == '1' else 'perline'}"
-                report[key] = {
-                    "wall": run["wall"], "qps": run["qps"], "n_actors": n_act,
-                    "sum_init_s": sum_init, "sum_busy_s": sum_busy,
-                    "busy_fraction": round(sum_busy / (n_act * run["wall"]), 3)
-                    if n_act else 0.0,
-                    "cpu_bound_s": round(sum_init + sum_busy, 3),
-                    "per_actor": sorted(
-                        ({"init_s": a["init_s"], "busy_s": a["busy_s"],
-                          "n_queries": a["n_queries"]} for a in actors),
-                        key=lambda a: -a["busy_s"],
-                    ),
-                }
+            prof = tempfile.mkdtemp(prefix="actor-prof-", dir="/tmp")
+            env = dict(os.environ, DOCINSIGHT_ACTOR_PROFILE=prof,
+                       RAY_ADDRESS="local")
+            out = subprocess.run(
+                [sys.executable, "-c", _CHILD, str(num_cpus), idx_dir,
+                 str(n_q), corpus_path],
+                env=env, check=True, cwd=repo, capture_output=True, text=True,
+            ).stdout
+            run = json.loads(out.strip().splitlines()[-1])
+            actors = [json.load(open(f))
+                      for f in glob.glob(os.path.join(prof, "actor-*.json"))]
+            shutil.rmtree(prof, ignore_errors=True)
+            n_act = len(actors)
+            sum_init = round(sum(a["init_s"] for a in actors), 3)
+            sum_busy = round(sum(a["busy_s"] for a in actors), 3)
+            report[f"cpus{num_cpus}"] = {
+                "wall": run["wall"], "qps": run["qps"], "n_actors": n_act,
+                "sum_init_s": sum_init, "sum_busy_s": sum_busy,
+                "busy_fraction": round(sum_busy / (n_act * run["wall"]), 3)
+                if n_act else 0.0,
+                "cpu_bound_s": round(sum_init + sum_busy, 3),
+                "per_actor": sorted(
+                    ({"init_s": a["init_s"], "busy_s": a["busy_s"],
+                      "n_queries": a["n_queries"]} for a in actors),
+                    key=lambda a: -a["busy_s"],
+                ),
+            }
     finally:
         shutil.rmtree(idx_dir, ignore_errors=True)
     print(json.dumps({"n_docs": n_docs, "n_queries": n_q, "runs": report}, indent=1))

@@ -74,6 +74,19 @@ def test_cli_conjunctive_mode(built_cli, capsys):
     assert line["hits"] == []  # unknown term empties a conjunctive query
 
 
+def test_cli_query_mode_choices(tmp_path, capsys):
+    """`query --mode` offers exactly the scorer's MODES; a typo is a
+    usage error, not a silent TAAT query."""
+    from docinsight_ray.scorer import MODES
+
+    with pytest.raises(SystemExit) as e:
+        main(["query", str(tmp_path), "x", "--mode", "max_score"])
+    assert e.value.code == 2
+    err = capsys.readouterr().err
+    assert "invalid choice: 'max_score'" in err
+    assert f"choose from {', '.join(map(repr, MODES))}" in err
+
+
 def test_cli_purge_crash_leftovers(built_cli, capsys, tmp_path):
     """purge removes staging dirs, interrupted-write tmp files and
     stale-fingerprint manifests — and the committed index still serves

@@ -204,22 +204,55 @@ def test_query_dataset_pipeline(built, ray_session):
 
 
 def test_query_preload_shared_state_identical(built, ray_session):
-    """query_index(preload=True) — pool actors share one plasma-backed
-    decoded index — is rank- and score-identical to the per-actor
-    parquet-load path, and the oracle."""
+    """query_index with concurrency=2 — pool actors share one
+    plasma-backed decoded index (scorer_pool's state rule) — is rank-
+    and score-identical to the oracle."""
     import ray.data
 
     corpus, idx, res = built
     queries = gen_queries(corpus, n_keyword=5, seed=43)
     qds = ray.data.from_arrow(queries_table(queries))
-    out = query_index(qds, idx, CFG, mode="maxscore", concurrency=2,
-                      preload=True).to_pandas()
+    out = query_index(qds, idx, CFG, mode="maxscore", concurrency=2).to_pandas()
     oracle = OracleIndex(corpus, CFG)
     for qid, text, k in queries:
         od, osc = oracle.score(text, k)
         sub = out[out.query_id == qid].sort_values("rank")
         np.testing.assert_array_equal(sub.doc_id.to_numpy(dtype=np.uint64), od)
         np.testing.assert_array_equal(sub.score.to_numpy(), osc)
+
+
+def test_unknown_mode_raises(built):
+    """A mistyped mode fails at construction, naming every valid mode,
+    instead of being served as TAAT."""
+    from docinsight_ray.scorer import MODES
+
+    corpus, idx, res = built
+    with pytest.raises(ValueError, match="'max_score'") as e:
+        BM25Scorer(idx, CFG, mode="max_score")
+    assert all(m in str(e.value) for m in MODES)
+
+
+def test_pool_state_sharing_rule(built, ray_session, monkeypatch):
+    """query_index decodes the index into the object store
+    (load_index_state) once exactly when its eager pool may run more
+    than one actor — never for one actor or a partition-lazy pool."""
+    import ray.data
+
+    from docinsight_ray import scorer
+
+    corpus, idx, res = built
+    calls = []
+    real = scorer.load_index_state
+    monkeypatch.setattr(scorer, "load_index_state", lambda d: calls.append(d) or real(d))
+    qds = ray.data.from_arrow(queries_table(gen_queries(corpus, n_keyword=2, seed=44)))
+    query_index(qds, idx, CFG, concurrency=1)
+    query_index(qds, idx, CFG, concurrency=2, max_loaded_parts=2)
+    assert calls == []
+    query_index(qds, idx, CFG, concurrency=2)
+    assert calls == [idx]
+    assert CFG.scorer_concurrency > 1
+    query_index(qds, idx, CFG)  # default: cfg.scorer_concurrency actors
+    assert calls == [idx, idx]
 
 
 def test_determinism_across_parallelism(built, ray_session, tmp_path):

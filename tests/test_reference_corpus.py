@@ -37,6 +37,14 @@ def test_corpus_loads_467_files(ref_built):
     assert again.equals(corpus)
 
 
+def test_missing_corpus_root_raises(tmp_path):
+    """A missing reference corpus is a FileNotFoundError naming the
+    root, not an empty corpus that fails later as an empty index."""
+    missing = str(tmp_path / "no-such-corpus")
+    with pytest.raises(FileNotFoundError, match="no-such-corpus"):
+        load_sourcecode_corpus(missing)
+
+
 def test_rank_identity_on_reference_queries(ref_built):
     """Engine top-k == exhaustive oracle (docs AND bitwise scores) for
     every case-original query, in all three serving modes."""

@@ -56,22 +56,42 @@ def test_sharded_rank_identity(sharded):
 
 
 def test_sharded_preload_rank_identity(sharded):
-    """query_sharded(preload=True): each shard's pool shares one
-    plasma-resident decoded sub-index — results identical to the
-    per-actor-load path and the oracle."""
+    """query_sharded(concurrency_per_shard=2): each shard's pool shares
+    one plasma-resident decoded sub-index — results identical to the
+    oracle."""
     import ray.data
 
     corpus, idx = sharded
     queries = gen_queries(corpus, n_keyword=6, seed=13)
     qds = ray.data.from_arrow(queries_table(queries))
     out = query_sharded(qds, idx, N_SHARDS, CFG, mode="maxscore",
-                        preload=True).to_pandas()
+                        concurrency_per_shard=2).to_pandas()
     oracle = OracleIndex(corpus, CFG)
     for qid, text, k in queries:
         od, osc = oracle.score(text, k)
         sub = out[out.query_id == qid].sort_values("rank")
         np.testing.assert_array_equal(sub.doc_id.to_numpy(dtype=np.uint64), od)
         np.testing.assert_array_equal(sub.score.to_numpy(), osc)
+
+
+def test_sharded_state_sharing_rule(sharded, monkeypatch):
+    """query_sharded decodes each shard into the object store once
+    exactly when its per-shard pool may run more than one actor."""
+    import os
+
+    import ray.data
+
+    from docinsight_ray import scorer
+
+    corpus, idx = sharded
+    calls = []
+    real = scorer.load_index_state
+    monkeypatch.setattr(scorer, "load_index_state", lambda d: calls.append(d) or real(d))
+    qds = ray.data.from_arrow(queries_table(gen_queries(corpus, n_keyword=2, seed=14)))
+    query_sharded(qds, idx, N_SHARDS, CFG)
+    assert calls == []
+    query_sharded(qds, idx, N_SHARDS, CFG, concurrency_per_shard=2)
+    assert calls == [os.path.join(idx, f"shard={s}") for s in range(N_SHARDS)]
 
 
 def test_sharded_bmw_rank_identity(sharded):

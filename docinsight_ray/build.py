@@ -38,7 +38,6 @@ import hashlib
 import json
 import os
 import time
-import uuid
 from dataclasses import dataclass, field
 from typing import Any, NamedTuple
 
@@ -52,7 +51,7 @@ from ray.data.aggregate import Count as RayCount
 from ray.data.aggregate import Sum
 
 from .bm25 import tf_sat_weight as _tf_sat_weight
-from .codec import varbyte_encode, varbyte_lengths
+from .codec import binary_payload, decode_rows, varbyte_decode, varbyte_encode, varbyte_lengths
 from .config import EngineConfig
 from .ids import doc_id_from_key, sha256_hex, term_bucket, term_hash_canary
 from .state.manifest import atomic_write_bytes, committed_parts, write_manifest
@@ -370,8 +369,10 @@ def _encode_sorted_group(
         bstarts = np.arange(s, e, bs)
         # float32 block maxima rounded UP — a downward float32 rounding
         # would make the bound unsafe (a posting could exceed it by 1ulp
-        # and be wrongly pruned)
-        bm = np.maximum.reduceat(w, bstarts)
+        # and be wrongly pruned). Reduced over this term's run only: over
+        # the whole group, the last block would also take the maximum of
+        # every later term's postings
+        bm = np.maximum.reduceat(w[s:e], bstarts - s)
         bm32 = bm.astype(np.float32)
         low = bm32.astype(np.float64) < bm
         bm32[low] = np.nextafter(bm32[low], np.float32(np.inf))
@@ -484,8 +485,8 @@ class MergeHotTerm:
     """Second (tiny) pass: merge one hot term's encoded salted runs.
 
     The group is ~hot_salt encoded-run ROWS for one term (salt =
-    doc_id % S, so runs interleave): decode each run, concatenate,
-    and hand the whole term to the shared sorted-group encoder (which
+    doc_id % S, so runs interleave): decode the runs, and hand the
+    whole term to the shared sorted-group encoder (which
     re-sorts, drops (term, doc_id) duplicates, and emits the final
     block-max posting row)."""
 
@@ -495,24 +496,10 @@ class MergeHotTerm:
         self.__name__ = "MergeHotTerm"
 
     def __call__(self, group: pa.Table) -> pa.Table:
-        from .codec import varbyte_decode
-
-        ids_parts, tf_parts, dl_parts = [], [], []
-        for n, dvb, tvb, lvb in zip(
-            group["n"].to_pylist(),
-            group["doc_ids_vb"].to_pylist(),
-            group["tfs_vb"].to_pylist(),
-            group["doc_lens_vb"].to_pylist(),
-        ):
-            n = int(n)
-            ids_parts.append(np.cumsum(varbyte_decode(dvb, n), dtype=np.uint64))
-            tf_parts.append(varbyte_decode(tvb, n).astype(np.uint32))
-            dl_parts.append(varbyte_decode(lvb, n).astype(np.uint32))
-        doc_ids = np.concatenate(ids_parts)
-        tfs = np.concatenate(tf_parts)
-        doc_lens = np.concatenate(dl_parts)
-        terms = np.repeat(np.asarray([group["term"][0].as_py()], dtype=object), doc_ids.size)
-        return _encode_sorted_group(terms, doc_ids, tfs, doc_lens, self.avgdl, self.cfg)
+        terms, doc_ids, tfs = decode_rows(group, count="n")
+        doc_lens = varbyte_decode(binary_payload(group["doc_lens_vb"]), doc_ids.size)
+        return _encode_sorted_group(terms, doc_ids, tfs.astype(np.uint32),
+                                    doc_lens.astype(np.uint32), self.avgdl, self.cfg)
 
 
 # --------------------------------------------------------------------------
@@ -531,10 +518,13 @@ class BuildResult:
     stats: dict[str, Any] = field(default_factory=dict)
 
 
-def _load_stats(index_dir: str) -> dict[str, Any]:
+def committed_result(index_dir: str) -> BuildResult:
+    """The BuildResult of an index whose build already committed."""
     from .state.fsio import read_bytes
 
-    return json.loads(read_bytes(os.path.join(index_dir, "corpus_stats.json")))
+    st = json.loads(read_bytes(os.path.join(index_dir, "corpus_stats.json")))
+    return BuildResult(index_dir, st["n_docs"], st["total_len"], st["avgdl"],
+                       st["n_dup_losers"], st["hot_terms"], st)
 
 
 def keep_first_losers(docs_ds: "ray.data.Dataset", cfg: EngineConfig):
@@ -619,6 +609,77 @@ def keep_first_losers(docs_ds: "ray.data.Dataset", cfg: EngineConfig):
     return joined.map_batches(keep_losers, batch_format="pyarrow")
 
 
+class Losers(NamedTuple):
+    """Dedup losers of one index: their doc_ids (sorted uint64) when
+    few enough to broadcast, else the parquet ``spill`` dir holding
+    them (``ids`` empty); their count and summed doc_len."""
+
+    ids: np.ndarray
+    count: int
+    length: int
+    spill: str | None
+
+
+def find_losers(docs_ds: "ray.data.Dataset", index_dir: str, cfg: EngineConfig,
+                ext_losers_dir: str | None = None) -> Losers:
+    """Exact dedup (content_sha256, keep min doc_id) over a docs
+    registry: ``keep_first_losers``, or an externally computed spill
+    (sharded global dedup). A small loser set is broadcast; a large one
+    spills to ``index_dir/dedup_losers`` (removed by ``commit_index``)
+    so no process holds it."""
+    from .state.fsio import glob_parquet, makedirs, rmtree
+
+    found = None  # loser rows: a small pa.Table or a parquet spill dir
+    if ext_losers_dir is not None and glob_parquet(ext_losers_dir):
+        found = ext_losers_dir
+    elif cfg.dedup:
+        found = keep_first_losers(docs_ds, cfg)
+    if isinstance(found, ray.data.Dataset):  # the join tier: spill it
+        own_spill = os.path.join(index_dir, "dedup_losers")
+        rmtree(own_spill)
+        makedirs(own_spill)
+        found.write_parquet(own_spill)
+        found = own_spill
+    if found is None:
+        return Losers(np.empty(0, dtype=np.uint64), 0, 0, None)
+    if isinstance(found, pa.Table):
+        ids = np.sort(found["doc_id"].to_numpy().astype(np.uint64))
+        return Losers(ids, found.num_rows, int(pc.sum(found["doc_len"]).as_py()), None)
+    spilled = ray.data.read_parquet(glob_parquet(found))
+    count, length = spilled.count(), int(spilled.sum("doc_len") or 0)
+    if count <= cfg.broadcast_limit:
+        ids = np.sort(spilled.to_pandas()["doc_id"].to_numpy().astype(np.uint64))
+        return Losers(ids, count, length, None)
+    return Losers(np.empty(0, dtype=np.uint64), count, length, found)
+
+
+class CorpusTotals(NamedTuple):
+    n_docs: int
+    total_len: int
+    avgdl: float
+
+
+def corpus_totals(docs_ds: "ray.data.Dataset", losers: Losers) -> CorpusTotals:
+    """Live doc count, token total and avgdl of a docs registry minus
+    its dedup losers — one execution for both aggregates."""
+    agg = docs_ds.aggregate(RayCount(alias_name="n"), Sum("doc_len", alias_name="len"))
+    n_docs = int(agg["n"]) - losers.count
+    total_len = int(agg["len"]) - losers.length
+    return CorpusTotals(n_docs, total_len, total_len / n_docs if n_docs else 1.0)
+
+
+def commit_empty(index_dir: str, cfg: EngineConfig, fingerprint: str, done: set[str],
+                 stages: dict[str, dict]) -> BuildResult:
+    """Commit an empty-but-valid index: no documents, no postings."""
+    from .state.fsio import makedirs, write_parquet_atomic
+
+    makedirs(os.path.join(index_dir, "docs"))
+    write_parquet_atomic(DOCS_SCHEMA.empty_table(), os.path.join(index_dir, "docs", "empty.parquet"))
+    makedirs(os.path.join(index_dir, "parts"))
+    return commit_index(index_dir, cfg, fingerprint, done, stages, CorpusTotals(0, 0, 1.0), 0,
+                        hot_terms=[], hot_thresh=0, merge_groups=0)
+
+
 def build_index(
     corpus: "ray.data.Dataset",
     index_dir: str,
@@ -666,9 +727,7 @@ def build_index(
                 fs_rmtree(d)
         done = set()
     if "_SUCCESS" in done:
-        st = _load_stats(index_dir)
-        return BuildResult(index_dir, st["n_docs"], st["total_len"], st["avgdl"],
-                           st["n_dup_losers"], st["hot_terms"], st)
+        return committed_result(index_dir)
 
     # per-stage lineage metrics (north rule: row/byte metrics per stage)
     stage_metrics: dict[str, dict] = {}
@@ -699,80 +758,17 @@ def build_index(
     if not listdir_count(docs_dir):
         # empty corpus (e.g. a fully-deduplicated incremental window):
         # commit an empty-but-valid index so readers see a consistent layout
-        from .state.fsio import write_parquet_atomic as _wpa
-
-        fs_makedirs(docs_dir)
-        _wpa(DOCS_SCHEMA.empty_table(), os.path.join(docs_dir, "empty.parquet"))
-        fs_makedirs(os.path.join(index_dir, "parts"))
-        stats = {
-            "stages": stage_metrics, "n_docs": 0, "total_len": 0, "avgdl": 1.0,
-            "build_avgdl": 1.0, "n_dup_losers": 0, "hot_terms": [],
-            "hot_df_threshold": 0, "k1": cfg.k1, "b": cfg.b,
-            "tokenizer": cfg.tokenizer, "stemmer": cfg.stemmer,
-            "stopwords": list(cfg.stopwords), "config_hash": cfg.config_hash(),
-            "fingerprint": fingerprint, "merge_groups": 0,
-            "num_buckets": cfg.num_buckets, "hot_salt": cfg.hot_salt,
-            "term_hash_canary": term_hash_canary(),
-        }
-        atomic_write_bytes(os.path.join(index_dir, "corpus_stats.json"),
-                           json.dumps(stats, sort_keys=True, indent=1).encode())
-        write_manifest(man_dir, "_SUCCESS", {
-            "part_id": "_SUCCESS", "stage": "build", "status": "committed",
-            "fingerprint": fingerprint, "config_hash": cfg.config_hash(),
-        })
-        return BuildResult(index_dir, 0, 0, 1.0, 0, [], stats)
+        return commit_empty(index_dir, cfg, fingerprint, done, stage_metrics)
     docs_ds = ray.data.read_parquet(docs_dir)
 
     t0 = time.monotonic()
-    # ---- Dedup (exact, content_sha256, keep min doc_id): loser
-    # (doc_id, doc_len) rows from keep_first_losers, or an externally
-    # computed spill (sharded global dedup). One consumer: a small
-    # loser set is broadcast (AssignGroupKey drops it), a large one
-    # spills to parquet and the fragments anti-join it
-    # (docinsight_ray.joins) so no process holds the loser set.
-    losers = np.empty(0, dtype=np.uint64)  # broadcast loser ids
-    losers_len = losers_count = 0
-    losers_spill: str | None = None  # anti-join loser set location
-    from .state.fsio import glob_parquet as _gp
-
-    found = None  # loser rows: a small pa.Table or a parquet spill dir
-    if ext_losers_dir is not None and _gp(ext_losers_dir):
-        found = ext_losers_dir
-    elif cfg.dedup:
-        found = keep_first_losers(docs_ds, cfg)
-    if isinstance(found, ray.data.Dataset):  # the join tier: spill it
-        own_spill = os.path.join(index_dir, "dedup_losers")
-        fs_rmtree(own_spill)
-        fs_makedirs(own_spill)
-        found.write_parquet(own_spill)
-        found = own_spill
-    if isinstance(found, pa.Table):
-        losers = np.sort(found["doc_id"].to_numpy().astype(np.uint64))
-        losers_len = int(pc.sum(found["doc_len"]).as_py())
-        losers_count = found.num_rows
-    elif found is not None:  # a loser spill on disk
-        spilled = ray.data.read_parquet(_gp(found))
-        losers_count = spilled.count()
-        losers_len = int(spilled.sum("doc_len") or 0)
-        if losers_count <= cfg.broadcast_limit:
-            losers = np.sort(spilled.to_pandas()["doc_id"].to_numpy().astype(np.uint64))
-        else:
-            losers_spill = found
-
-    _stage("dedup", t0, losers=int(losers_count),
-           path="join" if losers_spill else "broadcast")
+    dd = find_losers(docs_ds, index_dir, cfg, ext_losers_dir)
+    _stage("dedup", t0, losers=dd.count, path="join" if dd.spill else "broadcast")
 
     t0 = time.monotonic()
-    # one execution for both corpus aggregates (separate count()/sum()
-    # calls each re-ran the read)
-    agg = docs_ds.aggregate(RayCount(alias_name="n"), Sum("doc_len", alias_name="len"))
-    n_total = int(agg["n"])
-    total_len_all = int(agg["len"])
-    n_docs = n_total - int(losers_count)
-    total_len = total_len_all - losers_len
-    avgdl = total_len / n_docs if n_docs else 1.0
-
-    _stage("corpus_stats_agg", t0, n_docs=int(n_docs))
+    tot = corpus_totals(docs_ds, dd)
+    n_total, n_docs, avgdl = tot.n_docs + dd.count, tot.n_docs, tot.avgdl
+    _stage("corpus_stats_agg", t0, n_docs=n_docs)
 
     t0 = time.monotonic()
     # ---- Hot-term detection (SURVEY.md §2.5 G3 / §4.3): salting runs
@@ -829,7 +825,7 @@ def build_index(
     # ---- The wide shuffle: groupby(gkey) → merge/compress/commit
     frags = ray.data.read_parquet(read_parquet_files(frag_dir) if is_uri(frag_dir) else frag_dir)
     merge_in = frags
-    if losers_spill is not None:
+    if dd.spill is not None:
         # join-path dedup: loser set too large to broadcast — anti-join
         # the fragments against the spilled loser Dataset (hot detection
         # above intentionally ran on the unfiltered fragments, matching
@@ -838,14 +834,14 @@ def build_index(
 
         merge_in = key_set_filter(
             frags,
-            ray.data.read_parquet(losers_spill, columns=["doc_id"]),
+            ray.data.read_parquet(dd.spill, columns=["doc_id"]),
             "doc_id",
-            n_keys=losers_count,
+            n_keys=dd.count,
             broadcast_limit=cfg.broadcast_limit,
             num_partitions=cfg.num_buckets,
         )
     hot_ref = ray.put(hot_terms)
-    losers_ref = ray.put(losers)
+    losers_ref = ray.put(dd.ids)
     done_ref = ray.put(frozenset(
         int(p[1:]) for p in done if p.startswith("g") and p[1:].isdigit()
     ))
@@ -893,6 +889,20 @@ def build_index(
 
     _stage("hot_merge", t0)
 
+    return commit_index(index_dir, cfg, fingerprint, done, stage_metrics, tot, dd.count,
+                        hot_terms, hot_thresh, merge_groups=len(merge_stats))
+
+
+def commit_index(index_dir: str, cfg: EngineConfig, fingerprint: str, done: set[str],
+                 stages: dict[str, dict], tot: CorpusTotals, n_dup_losers: int, hot_terms,
+                 hot_thresh: int, merge_groups: int) -> BuildResult:
+    """The tail every index writer shares once its ``parts/`` are
+    committed (``build_index`` and ``pipelines.merge``): the term
+    dictionary, corpus_stats.json with the writer's ``stages`` and the
+    ``_SUCCESS`` manifest, in that order — corpus_stats is what readers
+    take as "this index is built"."""
+    from .state.fsio import glob_parquet, makedirs, rmtree, write_parquet_atomic
+
     # ---- Term-dictionary sidecar: globally SORTED (term, df) rows
     # across all postings partitions. Terms are unique across parts
     # (hash-bucketed; hot terms merged into parts/hot), so this is a
@@ -905,22 +915,20 @@ def build_index(
     # fall back to the parts scan when the sidecar is absent (older
     # indexes).
     t0 = time.monotonic()
+    man_dir = os.path.join(index_dir, "manifest")
     td_dir = os.path.join(index_dir, "term_dict")
     if "term_dict" not in done:
-        from .state.fsio import glob_parquet as _gp, write_parquet_atomic as _wpa
-
-        fs_rmtree(td_dir)
-        part_files = _gp(os.path.join(index_dir, "parts"))
+        rmtree(td_dir)
+        makedirs(td_dir)
+        part_files = glob_parquet(os.path.join(index_dir, "parts"))
         if part_files:
-            fs_makedirs(td_dir)
             (
                 ray.data.read_parquet(part_files, columns=["term", "df"])
                 .sort("term")
                 .write_parquet(td_dir)
             )
         else:
-            fs_makedirs(td_dir)
-            _wpa(
+            write_parquet_atomic(
                 pa.table({"term": pa.array([], type=pa.string()),
                           "df": pa.array([], type=pa.uint64())}),
                 os.path.join(td_dir, "empty.parquet"),
@@ -929,24 +937,23 @@ def build_index(
             "part_id": "term_dict", "stage": "term_dict", "status": "committed",
             "fingerprint": fingerprint, "config_hash": cfg.config_hash(),
         })
-    _stage("term_dict", t0)
+    stages["term_dict"] = {"wall_s": round(time.monotonic() - t0, 3)}
 
     # the join-path loser spill has served its purpose (dedup is
     # recomputed from the docs registry on any resume); an EXTERNAL
-    # loser dir is caller-owned — never deleted here
-    if losers_spill is not None and losers_spill != ext_losers_dir:
-        fs_rmtree(losers_spill)
+    # loser dir (build_index ext_losers_dir) lives elsewhere, caller-owned
+    rmtree(os.path.join(index_dir, "dedup_losers"))
 
     stats = {
-        "stages": stage_metrics,
-        "n_docs": int(n_docs),
-        "total_len": int(total_len),
-        "avgdl": float(avgdl),
+        "stages": stages,
+        "n_docs": int(tot.n_docs),
+        "total_len": int(tot.total_len),
+        "avgdl": float(tot.avgdl),
         # the avgdl the block-max metadata was computed with — scorers
         # may only trust stored block maxima when it matches the serving
         # avgdl (sharded builds overwrite avgdl with the global value)
-        "build_avgdl": float(avgdl),
-        "n_dup_losers": int(losers_count),
+        "build_avgdl": float(tot.avgdl),
+        "n_dup_losers": int(n_dup_losers),
         "hot_terms": sorted(map(str, hot_terms)),
         "hot_df_threshold": hot_thresh,
         # postings-partition layout, recorded so lazy scorers can route
@@ -963,7 +970,7 @@ def build_index(
         "stopwords": list(cfg.stopwords),
         "config_hash": cfg.config_hash(),
         "fingerprint": fingerprint,
-        "merge_groups": int(len(merge_stats)),
+        "merge_groups": int(merge_groups),
         # cross-environment routing safety: serving verifies this before
         # trusting term->bucket lookups (ids.check_term_hash_canary)
         "term_hash_canary": term_hash_canary(),
@@ -976,5 +983,5 @@ def build_index(
         "part_id": "_SUCCESS", "stage": "build", "status": "committed",
         "fingerprint": fingerprint, "config_hash": cfg.config_hash(),
     })
-    return BuildResult(index_dir, int(n_docs), int(total_len), float(avgdl),
-                       int(losers_count), stats["hot_terms"], stats)
+    return BuildResult(index_dir, int(tot.n_docs), int(tot.total_len), float(tot.avgdl),
+                       int(n_dup_losers), stats["hot_terms"], stats)

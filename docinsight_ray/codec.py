@@ -22,6 +22,7 @@ with an actual compressed inverted-list layout.
 from __future__ import annotations
 
 import numpy as np
+import pyarrow as pa
 
 BLOCK_SIZE_DEFAULT = 128
 
@@ -99,6 +100,40 @@ def delta_encode(doc_ids: np.ndarray) -> np.ndarray:
 
 def delta_decode(deltas: np.ndarray) -> np.ndarray:
     return np.cumsum(np.asarray(deltas, dtype=np.uint64), dtype=np.uint64)
+
+
+def delta_decode_runs(buf: bytes | memoryview, counts: np.ndarray) -> np.ndarray:
+    """Decode concatenated delta+varbyte runs of ``counts`` values each:
+    one varbyte decode, then one cumsum whose running total restarts at
+    each run (uint64 wraps alike in the cumsum and the subtraction, so
+    every difference is exact)."""
+    counts = np.asarray(counts, dtype=np.int64)
+    cs = np.cumsum(varbyte_decode(buf, int(counts.sum())), dtype=np.uint64)
+    base = np.concatenate((np.zeros(1, dtype=np.uint64), cs))[np.cumsum(counts) - counts]
+    return cs - np.repeat(base, counts)
+
+
+def binary_payload(col: pa.Array | pa.ChunkedArray) -> memoryview:
+    """The concatenated value bytes of a binary column, zero-copy for
+    one chunk."""
+    arr = col.combine_chunks() if isinstance(col, pa.ChunkedArray) else col
+    data = arr.buffers()[2] if len(arr) else None
+    if data is None:
+        return memoryview(b"")
+    off_t = np.int64 if pa.types.is_large_binary(arr.type) else np.int32
+    offs = np.frombuffer(arr.buffers()[1], dtype=off_t)[arr.offset : arr.offset + len(arr) + 1]
+    return memoryview(data)[offs[0] : offs[-1]]
+
+
+def decode_rows(rows: pa.Table, count: str = "df") -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(term, doc_id, tf) of every posting in encoded rows — columns
+    ``term``, ``doc_ids_vb``, ``tfs_vb`` and the per-row posting
+    ``count`` — row after row, with one decode per binary column."""
+    n = rows[count].to_numpy().astype(np.int64)
+    doc_ids = delta_decode_runs(binary_payload(rows["doc_ids_vb"]), n)
+    tfs = varbyte_decode(binary_payload(rows["tfs_vb"]), int(n.sum()))
+    terms = np.repeat(rows["term"].to_numpy(zero_copy_only=False).astype(object), n)
+    return terms, doc_ids, tfs
 
 
 def encode_posting(

@@ -262,7 +262,7 @@ def q_tfidf_top_terms(sf_dir: str) -> pa.Table:
     mentions, so the groupby moves O(batches × docs × K) rows, never
     the full decoded postings.
     """
-    from ..codec import decode_posting
+    from ..codec import decode_rows
     from ..pipelines.documents import _postings_ds, ensure_index
 
     idx = ensure_index(sf_dir)
@@ -270,27 +270,14 @@ def q_tfidf_top_terms(sf_dir: str) -> pa.Table:
         n_docs = float(json.load(f)["n_docs"])
 
     def explode_score(batch: pa.Table) -> pd.DataFrame:
-        terms, dids, scores = [], [], []
-        for t, df, dvb, tvb in zip(
-            batch["term"].to_pylist(),
-            batch["df"].to_pylist(),
-            batch["doc_ids_vb"].to_pylist(),
-            batch["tfs_vb"].to_pylist(),
-        ):
-            d, f = decode_posting(dvb, tvb, df)
-            idf = math.log(n_docs / float(df))
-            terms += [t] * d.size
-            dids.append(d.astype(np.int64))
-            scores.append(np.round(f.astype(np.float64) * idf, 6))
-        if not terms:
-            return pd.DataFrame({"doc_id": [], "term": [], "tfidf": []}).astype(
-                {"doc_id": "int64", "term": "object", "tfidf": "float64"}
-            )
+        terms, dids, tfs = decode_rows(batch)
+        dfs = batch["df"].to_pylist()
+        idf = np.repeat([math.log(n_docs / float(df)) for df in dfs], np.asarray(dfs, dtype=np.int64))
         out = pd.DataFrame(
             {
-                "doc_id": np.concatenate(dids),
-                "term": np.array(terms, dtype=object),
-                "tfidf": np.concatenate(scores),
+                "doc_id": dids.astype(np.int64),
+                "term": terms,
+                "tfidf": np.round(tfs.astype(np.float64) * idf, 6),
             }
         )
         # local combiner: only each doc's in-batch top-K continue

@@ -26,7 +26,7 @@ import ray.data
 from ray.data.aggregate import Count, Min, Sum
 
 from ..build import build_index
-from ..codec import decode_posting
+from ..codec import decode_rows
 from ..config import EngineConfig, SQL_PARITY_CONFIG
 from ..scorer import BM25Scorer, query_index
 from ..tokenizer import tokenize_text
@@ -181,29 +181,13 @@ def q_postings_probe(sf_dir: str) -> pa.Table:
     ds = _postings_ds(idx)
 
     def explode(batch: pa.Table) -> pa.Table:
-        terms, dids, tfs = [], [], []
-        for t, df, dvb, tvb in zip(
-            batch["term"].to_pylist(),
-            batch["df"].to_pylist(),
-            batch["doc_ids_vb"].to_pylist(),
-            batch["tfs_vb"].to_pylist(),
-        ):
-            if t in PROBE_TERMS:
-                d, f = decode_posting(dvb, tvb, df)
-                terms += [t] * d.size
-                dids.append(d)
-                tfs.append(f)
-        if not terms:
-            return pa.table(
-                {"term": pa.array([], type=pa.string()),
-                 "doc_id": pa.array([], type=pa.int64()),
-                 "tf": pa.array([], type=pa.int64())}
-            )
+        probe = batch.filter(pc.is_in(batch["term"], value_set=pa.array(PROBE_TERMS)))
+        terms, dids, tfs = decode_rows(probe)
         return pa.table(
             {
                 "term": pa.array(terms, type=pa.string()),
-                "doc_id": pa.array(np.concatenate(dids).astype(np.int64), type=pa.int64()),
-                "tf": pa.array(np.concatenate(tfs).astype(np.int64), type=pa.int64()),
+                "doc_id": pa.array(dids.astype(np.int64), type=pa.int64()),
+                "tf": pa.array(tfs.astype(np.int64), type=pa.int64()),
             }
         )
 

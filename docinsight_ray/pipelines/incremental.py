@@ -50,7 +50,7 @@ import ray.data
 
 from ..build import build_index
 from ..config import EngineConfig
-from .merge import _drop_tombstoned, restage_and_build
+from .merge import _drop_tombstoned, merge_postings
 from .sharded import distribute_global_stats, fan_out
 
 
@@ -376,21 +376,18 @@ def compact_windows(
     per-window fan-out cost at query time; compaction folds old
     windows back into a single sub-index with rank-identical results.
 
-    Pipeline (all staged + resumable, no in-place mutation):
-    1. decode every source window's postings back into SPIMI fragments
-       (+ df sidecars) in the new ``window=<out_id>`` staging dirs —
-       content is NOT re-tokenized (it was never stored);
-    2. concatenate the source docs registries into the new docs dir;
-    3. run the ordinary ``build_index`` merge shuffle over the staged
-       fragments (docs manifest pre-committed, same trick as the
-       sharded split) — dedup recomputes to the identical winner set:
-       appends already dropped every later-arriving copy, so the union
-       holds the earliest-arriving copy of each content (arrival order,
-       not the global min doc_id; see the module docstring). Steps
-       1-3 are ``merge.restage_and_build``, shared with
-       ``merge_indexes``;
-    4. crash-safe cutover: a ``_COMPACTED_FROM`` marker in the new dir
-       (written BEFORE the build; effective only once the build
+    Pipeline (resumable, no in-place mutation):
+    1. ``merge.merge_postings`` (shared with ``merge_indexes``) writes
+       the new ``window=<out_id>`` from the source docs registries minus
+       tombstones and the sources' still-encoded postings, merged bucket
+       by bucket — no re-tokenization, no staging dirs; a rerun skips
+       the buckets already committed. Its postings rows equal a
+       ``build_index`` over the surviving docs: appends already dropped
+       every later-arriving copy, so dedup keeps the earliest-arriving
+       copy of each content (arrival order, not the global min doc_id;
+       see the module docstring);
+    2. crash-safe cutover: a ``_COMPACTED_FROM`` marker in the new dir
+       (written BEFORE the merge; effective only once the merge
        commits) makes ``query_windows`` exclude the sources even if
        deletion hasn't happened yet — at no point can a query double-
        count; source dirs are deleted last, then global stats
@@ -415,8 +412,8 @@ def compact_windows(
         raise FileNotFoundError(f"compact_windows: no committed windows under {index_root}")
     src_names = sorted(os.path.basename(d) for d, _ in sources)
     # tombstones (delete_docs) are applied PHYSICALLY here: their
-    # identity is part of the staging fingerprint, so deleting more
-    # docs and re-compacting never reuses stale pre-delete staging
+    # identity is part of the merge fingerprint, so deleting more docs
+    # and re-compacting never resumes a stale pre-delete merge
     dead = _tombstone_ids(index_root)
     tdig = hashlib.sha256(dead.tobytes()).hexdigest()[:10] if dead.size else "none"
     if out_window_id is None:
@@ -438,12 +435,12 @@ def compact_windows(
         prior = read_bytes(os.path.join(d, "_COMPACTED_FROM"))
         if prior:
             closure.update(json.loads(prior))
-    restage_and_build(
-        sources, out_dir, cfg, fingerprint, stage="compact-stage", dead=dead,
+    merge_postings(
+        sources, out_dir, cfg, fingerprint, dead=dead,
         marker=("_COMPACTED_FROM", json.dumps(sorted(closure)).encode()),
     )
-    # 4. cutover: sources are already query-excluded by the marker now
-    # that the build committed; delete them, then refresh global stats
+    # 2. cutover: sources are already query-excluded by the marker now
+    # that the merge committed; delete them, then refresh global stats
     if delete_sources:
         for d, _ in sources:
             fs_rmtree(d)

@@ -1,27 +1,33 @@
-"""Merge independently built indexes into ONE standalone index.
+"""Merge committed indexes into ONE standalone index, bucket by bucket.
 
-The operational analogue of Lucene ``IndexWriter.addIndexes`` (the
-capability the reference lacks entirely — FAISS/SQLite state there can
-only be rebuilt from source documents,
-/root/reference/index/index_manager.py:124-201): N committed index
-directories — built anywhere, e.g. one per corpus shard on different
-machines — fold into one standalone index that is rank-identical to
-building once over the concatenated corpora.
+Lucene's segment merge and ``IndexWriter.addIndexes`` (the reference
+lacks both: its FAISS/SQLite state can only be rebuilt from source
+documents): N committed indexes — one per corpus shard, machine or
+arrival window — fold into one whose postings rows equal, on every
+column, those of a ``build_index`` over their surviving documents.
+``merge_postings`` is the one step compaction and ``merge_indexes``
+share. Content is never re-tokenized (it was never stored) and postings
+are never partitioned again: every source hashes terms into the same
+``num_buckets`` buckets (``config_hash`` and the term-hash canary pin
+it), so output bucket b merges every source's bucket b.
 
-Content is never re-tokenized (it was never stored):
-``restage_and_build`` — the one re-staging step window compaction
-shares — decodes each source's postings back into SPIMI fragments (+ df
-sidecars) through an actor-pool stage, unions the docs registries in
-one narrow pass, and runs the ordinary ``build_index`` merge shuffle
-over the staged fragments. Exact dedup recomputes across the union
-(keep-first = global min doc_id per content sha), so cross-index
-duplicates collapse exactly as a single build would.
+1. Union the docs registries minus tombstones; the build's exact dedup
+   (keep-first = min doc_id per content sha) and corpus totals run over
+   the union, so cross-source duplicates collapse as in one build.
+2. One ``groupby(bucket)`` over the sources' still-encoded postings rows
+   (~10 B per posting). Each bucket task decodes its rows, looks each
+   posting's doc_len up in its own source's registry, drops tombstones
+   and dedup losers and re-encodes at the new avgdl. A term whose summed
+   source df reaches the hot threshold goes to ``parts/hot``, decoded on
+   its own: no task holds more than one bucket's cold postings or one
+   hot term's postings.
+3. Each bucket commits with a manifest (a rerun skips it), then
+   ``build.commit_index`` writes term_dict, corpus_stats and ``_SUCCESS``.
 
-Partitioning assumptions (documented, same as compaction): one
-source's (doc_id → doc_len) table fits a worker (8 bytes/doc — the
-scorer's own memory class), and doc_ids are globally consistent —
-``doc_id_mode="hash"`` (content-derived) guarantees it; ``column``
-mode callers must feed disjoint id spaces.
+Assumptions: the union's (doc_id → doc_len) table and a dedup loser set
+too large to broadcast fit a worker (the scorer's own memory class);
+doc_ids are globally consistent — ``doc_id_mode="hash"`` guarantees it,
+``column`` mode callers must feed disjoint id spaces.
 """
 
 from __future__ import annotations
@@ -29,16 +35,24 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import time
 
 import numpy as np
+import pandas as pd
 import pyarrow as pa
+import pyarrow.parquet as pq
 import ray
 import ray.data
 
-from ..build import BuildResult, build_index
+from ..build import (POSTINGS_SCHEMA, BuildResult, _encode_sorted_group, commit_empty, commit_index,
+                     committed_result, corpus_totals, find_losers)
+from ..codec import decode_rows
 from ..config import EngineConfig
+from ..ids import check_term_hash_canary, term_bucket
+from ..state.fsio import glob_parquet, listdir_count, makedirs, read_bytes, rmtree, write_parquet_atomic
+from ..state.manifest import atomic_write_bytes, committed_parts, read_manifest, write_manifest
 
-__all__ = ["merge_indexes", "restage_and_build"]
+__all__ = ["merge_indexes", "merge_postings"]
 
 
 def _drop_tombstoned(ds: "ray.data.Dataset", dead) -> "ray.data.Dataset":
@@ -57,181 +71,163 @@ def _drop_tombstoned(ds: "ray.data.Dataset", dead) -> "ray.data.Dataset":
     return ds.map_batches(drop, batch_format="pyarrow", zero_copy_batch=True)
 
 
-class _PostingsDecoder:
-    """Actor-pool stage of the re-staging step: one source postings
-    part file → SPIMI fragment rows (term, doc_id, tf, doc_len) + df
-    sidecar, written straight into the output index's staging dirs.
+class _BucketMerge:
+    """``map_groups`` callable: one output bucket from every source's
+    encoded rows of that bucket (rows carry ``src``, their source's
+    index into ``src_dirs``). Writes ``parts/g{b·(1+hot_salt)}`` and
+    ``parts/hot/b{b}.parquet`` atomically, then commits the bucket's
+    manifest; returns one small stats row."""
 
-    doc_len rides back in via a per-source (doc_id → doc_len) lookup
-    loaded once per actor per source (the same per-sub-index doc-len
-    array the scorer itself holds — the documented partitioning
-    assumption is that ONE SOURCE's doc-len table fits a worker).
-    Fragment names are content-addressed by the source file path, so
-    Ray task retries overwrite idempotently.
+    def __init__(self, cfg: EngineConfig, out_dir: str, fingerprint: str, avgdl: float,
+                 hot_thresh: int, src_dirs: list[str], drop_ref, spill: str | None):
+        self.cfg, self.out_dir, self.fingerprint = cfg, out_dir, fingerprint
+        self.avgdl, self.hot_thresh, self.src_dirs = avgdl, hot_thresh, src_dirs
+        self.drop_ref, self.spill = drop_ref, spill  # tombstones ∪ dedup losers
+        self.__name__ = "_BucketMerge"  # map_groups wraps fn and reads __name__
 
-    Sidecar soundness: within one source a term's postings live in
-    exactly ONE parts file (its bucket, or one hot row), so pdf_f =
-    df_s and with ndocs_f = source n_docs the hot-term pigeonhole
-    (build.py hot detection) holds ACROSS sources: global df ≥
-    ratio·Σn_s implies some source has df_s ≥ ratio·n_s."""
+    def _encode(self, rows: pa.Table, drop: np.ndarray, lens: dict) -> pa.Table | None:
+        """Decode ``rows`` source by source, attach doc_len, drop
+        ``drop``, re-encode at the merged avgdl (None for no rows)."""
+        if not rows.num_rows:
+            return None
+        src = rows["src"].to_numpy()
+        cols = []
+        for s in np.unique(src):
+            if s not in lens:
+                t = pq.read_table(os.path.join(self.src_dirs[s], "docs"), columns=["doc_id", "doc_len"])
+                ids = t["doc_id"].to_numpy(zero_copy_only=False).astype(np.uint64)
+                order = np.argsort(ids)
+                lens[s] = (ids[order], t["doc_len"].to_numpy(zero_copy_only=False)[order])
+            terms, doc_ids, tfs = decode_rows(rows.filter(pa.array(src == s)))
+            keep = ~np.isin(doc_ids, drop)
+            ids, dl = lens[s]
+            doc_ids = doc_ids[keep]
+            cols.append((terms[keep], doc_ids, tfs[keep], dl[np.searchsorted(ids, doc_ids)]))
+        return _encode_sorted_group(*map(np.concatenate, zip(*cols)), self.avgdl, self.cfg)
 
-    def __init__(self, frag_dir: str, dfstats_dir: str, dead_ref=None):
-        self.frag_dir = frag_dir
-        self.dfstats_dir = dfstats_dir
-        # tombstoned doc_ids (sorted uint64, ray.put once by the caller):
-        # dropped from every decoded posting list, so compaction applies
-        # deletes physically and the rebuild's stats exclude them
-        if dead_ref is None:
-            self._dead = np.empty(0, dtype=np.uint64)
-        else:  # ObjectRef, or already resolved by the actor call path
-            v = ray.get(dead_ref) if isinstance(dead_ref, ray.ObjectRef) else dead_ref
-            self._dead = np.asarray(v, dtype=np.uint64)
-        self._dl: dict[str, tuple] = {}  # source dir → (sorted ids, lens)
-
-    def _doc_lens(self, src_dir: str):
-        import pyarrow.parquet as pq
-
-        cached = self._dl.get(src_dir)
-        if cached is None:
-            t = pq.read_table(os.path.join(src_dir, "docs"), columns=["doc_id", "doc_len"])
-            ids = t["doc_id"].to_numpy(zero_copy_only=False).astype(np.uint64)
-            lens = t["doc_len"].to_numpy(zero_copy_only=False).astype(np.uint32)
-            order = np.argsort(ids, kind="stable")
-            cached = (ids[order], lens[order])
-            if len(self._dl) > 4:
-                self._dl.clear()
-            self._dl[src_dir] = cached
-        return cached
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        import pyarrow.parquet as pq
-
-        from ..codec import decode_posting
-        from ..state.fsio import write_parquet_atomic
-
-        n_terms_out = 0
-        for fpath, src_dir, src_docs in zip(
-            batch["file"].to_pylist(), batch["src_dir"].to_pylist(),
-            batch["src_docs"].to_pylist(),
-        ):
-            t = pq.read_table(fpath, columns=["term", "df", "doc_ids_vb", "tfs_vb"])
-            if t.num_rows == 0:
-                continue
-            dl_ids, dl_lens = self._doc_lens(src_dir)
-            terms_out, ids_out, tfs_out, lens_out = [], [], [], []
-            dead = self._dead
-            for term, df, dvb, tvb in zip(
-                t["term"].to_pylist(), t["df"].to_pylist(),
-                t["doc_ids_vb"].to_pylist(), t["tfs_vb"].to_pylist(),
-            ):
-                d, f = decode_posting(dvb, tvb, int(df))
-                if dead.size:
-                    pos = np.minimum(np.searchsorted(dead, d), dead.size - 1)
-                    keep = dead[pos] != d
-                    d, f = d[keep], f[keep]
-                    if d.size == 0:
-                        continue
-                terms_out.append(np.full(d.size, term, dtype=object))
-                ids_out.append(d)
-                tfs_out.append(f.astype(np.uint32))
-                lens_out.append(dl_lens[np.searchsorted(dl_ids, d)])
-            tag = hashlib.sha256(fpath.encode()).hexdigest()[:20]
-            if terms_out:  # tombstones can empty an entire parts file
-                frag = pa.table(
-                    {
-                        "term": pa.array(np.concatenate(terms_out), type=pa.string()),
-                        "doc_id": pa.array(np.concatenate(ids_out), type=pa.uint64()),
-                        "tf": pa.array(np.concatenate(tfs_out), type=pa.uint32()),
-                        "doc_len": pa.array(np.concatenate(lens_out), type=pa.uint32()),
-                    }
-                )
-                write_parquet_atomic(frag, f"{self.frag_dir}/frag-{tag}-{frag.num_rows}.parquet")
-            side = pa.table(
-                {
-                    "term": t["term"],
-                    "pdf": pa.array(
-                        t["df"].to_numpy(zero_copy_only=False).astype(np.uint32),
-                        type=pa.uint32(),
-                    ),
-                    "ndocs": pa.array(
-                        np.full(t.num_rows, int(src_docs), dtype=np.uint32), type=pa.uint32()
-                    ),
-                }
-            )
-            write_parquet_atomic(side, f"{self.dfstats_dir}/frag-{tag}.parquet")
-            n_terms_out += t.num_rows
-        return pa.table({"n_terms": pa.array([n_terms_out], type=pa.int64())})
+    def __call__(self, group: pa.Table) -> pa.Table:
+        t0 = time.monotonic()
+        b = int(group["bucket"][0].as_py())
+        part = f"g{b * (1 + self.cfg.hot_salt)}"
+        drop = ray.get(self.drop_ref)
+        if self.spill is not None:
+            spilled = pq.read_table(self.spill, columns=["doc_id"])["doc_id"].to_numpy()
+            drop = np.union1d(drop, spilled.astype(np.uint64))
+        lens: dict = {}
+        codes, _ = pd.factorize(group["term"].to_numpy(zero_copy_only=False), sort=True)
+        src_df = np.bincount(codes, weights=group["df"].to_numpy().astype(np.float64))
+        is_hot = (src_df >= self.hot_thresh)[codes]
+        outs = [(os.path.join("parts", part, "postings.parquet"),
+                 [self._encode(group.filter(pa.array(~is_hot)), drop, lens)])]
+        hot_rows = np.flatnonzero(is_hot)
+        hot_rows = hot_rows[np.argsort(codes[hot_rows], kind="stable")]
+        runs = np.split(hot_rows, np.flatnonzero(np.diff(codes[hot_rows])) + 1)
+        outs.append((os.path.join("parts", "hot", f"b{b}.parquet"),
+                     [self._encode(group.take(r), drop, lens) for r in runs]))
+        nbytes = n_terms = 0
+        for rel, tbls in outs:
+            tbl = pa.concat_tables([t for t in tbls if t is not None] or [POSTINGS_SCHEMA.empty_table()])
+            if tbl.num_rows:
+                makedirs(os.path.dirname(os.path.join(self.out_dir, rel)))
+                nbytes += write_parquet_atomic(tbl, os.path.join(self.out_dir, rel))
+                n_terms += tbl.num_rows
+        write_manifest(os.path.join(self.out_dir, "manifest"), part, {
+            "part_id": part, "stage": "bucket_merge", "rows_in": group.num_rows,
+            "rows_out": n_terms, "bytes_out": int(nbytes), "fingerprint": self.fingerprint,
+            "config_hash": self.cfg.config_hash(), "status": "committed",
+            "wall_s": round(time.monotonic() - t0, 4),
+        })
+        return pa.table({"part": [part], "rows_in": [group.num_rows],
+                         "n_terms": [n_terms], "bytes_out": [int(nbytes)]})
 
 
-def restage_and_build(
-    sources: list[tuple[str, dict]],
-    out_dir: str,
-    cfg: EngineConfig,
-    fingerprint: str,
-    stage: str,
-    dead: np.ndarray | None = None,
-    marker: tuple[str, bytes] | None = None,
-) -> BuildResult:
+def _keyed_rows(t: pa.Table, src: int, num_buckets: int, skip: frozenset) -> pa.Table:
+    """Tag encoded postings rows with their source and output bucket,
+    dropping buckets an earlier run already committed."""
+    b = term_bucket(t["term"], num_buckets)
+    t = t.append_column("bucket", pa.array(b, type=pa.uint32()))
+    t = t.append_column("src", pa.array(np.full(t.num_rows, src, dtype=np.int32)))
+    return t.filter(pa.array(~np.isin(b, list(skip)))) if skip else t
+
+
+def merge_postings(sources: list[tuple[str, dict]], out_dir: str, cfg: EngineConfig, fingerprint: str,
+                   dead: np.ndarray | None = None, marker: tuple[str, bytes] | None = None) -> BuildResult:
     """Fold committed indexes ``sources`` — (dir, corpus_stats) pairs —
-    into one fresh index at ``out_dir`` without re-tokenizing: the
-    shared step of window compaction and ``merge_indexes``.
-
-    Unless ``out_dir``'s docs manifest already carries this
-    (``fingerprint``, cfg) identity, staging runs afresh:
-    1. wipe ``out_dir``, make the fragments / df-sidecar / docs dirs
-       and write ``marker`` (a (name, bytes) file — compaction's
-       supersession marker, which must exist before the build commits);
-    2. union the source docs registries, dropping the sorted uint64
-       doc_ids ``dead`` (tombstones) so the rebuild's stats exclude them;
-    3. decode every source ``parts`` file into SPIMI fragments + df
-       sidecars. Sharded sub-indexes carry GLOBAL n_docs after stat
-       distribution; the sidecar wants the SOURCE-local count
-       (``shard_n_docs``). Sidecars keep PRE-delete pdf/ndocs — the
-       exact candidate-df pass corrects over-estimates, and a (rare,
-       delete-heavy) missed hot term only inflates one merge group,
-       never results;
-    4. pre-commit the docs manifest (``stage`` names it) so the build
-       below skips tokenization.
-    Then the ordinary ``build_index`` merge shuffle runs over the
-    staged fragments; a crash anywhere re-enters there, and dedup
-    recomputes across the union exactly as a single build would."""
-    from ..state.fsio import glob_parquet, makedirs, rmtree
-    from ..state.manifest import atomic_write_bytes, committed_parts, write_manifest
-
+    into one fresh index at ``out_dir`` (module docstring). ``dead``:
+    sorted uint64 doc_ids (tombstones) dropped from the registry and
+    every posting list. Unless ``out_dir``'s docs manifest carries this
+    (``fingerprint``, cfg) identity, ``out_dir`` is wiped and ``marker``
+    — a (name, bytes) file that must exist before the merge commits,
+    compaction's supersession marker — written first; otherwise the run
+    resumes after the docs union and skips committed buckets. Stages
+    recorded: docs_union, dedup, stats_agg, merge_shuffle (named and
+    shaped like the build's one shuffle), term_dict."""
     inner_fp = f"{fingerprint}:{cfg.config_hash()}"
     man_dir = os.path.join(out_dir, "manifest")
-    if "docs" not in committed_parts(man_dir, inner_fp):
+    docs_dir = os.path.join(out_dir, "docs")
+    done = committed_parts(man_dir, inner_fp)
+    if "_SUCCESS" in done:
+        return committed_result(out_dir)
+    dead = np.empty(0, dtype=np.uint64) if dead is None else dead
+    stages: dict[str, dict] = {}
+
+    def _stage(name: str, t0: float, **extra) -> None:
+        stages[name] = {"wall_s": round(time.monotonic() - t0, 3), **extra}
+
+    t0 = time.monotonic()
+    if "docs" not in done:
+        done = set()
         rmtree(out_dir)
-        frag_dir = os.path.join(out_dir, "fragments")
-        dfstats_dir = os.path.join(out_dir, "fragments-dfstats")
-        docs_dir = os.path.join(out_dir, "docs")
-        for p in (frag_dir, dfstats_dir, docs_dir):
-            makedirs(p)
+        makedirs(docs_dir)
         if marker is not None:
             atomic_write_bytes(os.path.join(out_dir, marker[0]), marker[1])
         docs_files = [f for d, _ in sources for f in glob_parquet(os.path.join(d, "docs"))]
         _drop_tombstoned(ray.data.read_parquet(docs_files), dead).write_parquet(docs_dir)
-        items = [
-            {"file": f, "src_dir": d, "src_docs": int(s.get("shard_n_docs", s["n_docs"]))}
-            for d, s in sources
-            for f in glob_parquet(os.path.join(d, "parts"))
-        ]
-        if items:
-            dead_ref = ray.put(dead) if dead is not None and dead.size else None
-            ray.data.from_items(items).map_batches(
-                _PostingsDecoder,
-                fn_constructor_args=(frag_dir, dfstats_dir, dead_ref),
-                batch_format="pyarrow",
-                batch_size=4,
-                concurrency=4,
-            ).sum("n_terms")
         write_manifest(man_dir, "docs", {
-            "part_id": "docs", "stage": stage, "status": "committed",
+            "part_id": "docs", "stage": "docs_union", "status": "committed",
             "fingerprint": inner_fp, "config_hash": cfg.config_hash(),
             "sources": [d for d, _ in sources],
         })
-    placeholder = ray.data.from_arrow(pa.schema([("doc_id", pa.uint64())]).empty_table())
-    return build_index(placeholder, out_dir, cfg, fingerprint=fingerprint)
+    _stage("docs_union", t0, skipped="docs" in done)
+    if not listdir_count(docs_dir):  # every source doc tombstoned
+        return commit_empty(out_dir, cfg, inner_fp, done, stages)
+    docs_ds = ray.data.read_parquet(docs_dir)
+
+    t0 = time.monotonic()
+    dd = find_losers(docs_ds, out_dir, cfg)
+    _stage("dedup", t0, losers=dd.count, path="join" if dd.spill else "broadcast")
+    t0 = time.monotonic()
+    tot = corpus_totals(docs_ds, dd)
+    hot_thresh = max(2, int(cfg.hot_df_ratio * tot.n_docs))
+    _stage("stats_agg", t0, n_docs=tot.n_docs)
+
+    t0 = time.monotonic()
+    stride = 1 + cfg.hot_salt
+    skip = frozenset(int(p[1:]) // stride for p in done if p[:1] == "g" and p[1:].isdigit())
+    rows = [
+        ray.data.read_parquet(files, columns=["term", "df", "doc_ids_vb", "tfs_vb"]).map_batches(
+            _keyed_rows, batch_format="pyarrow",
+            fn_kwargs={"src": i, "num_buckets": cfg.num_buckets, "skip": skip},
+        )
+        for i, (d, _) in enumerate(sources)
+        if (files := glob_parquet(os.path.join(d, "parts")))
+    ]
+    merged = pd.DataFrame({"rows_in": [], "n_terms": [], "bytes_out": []})
+    if rows:
+        merged = (
+            (rows[0].union(*rows[1:]) if len(rows) > 1 else rows[0]).groupby("bucket").map_groups(
+                _BucketMerge(cfg, out_dir, inner_fp, tot.avgdl, hot_thresh,
+                             [d for d, _ in sources], ray.put(np.union1d(dead, dd.ids)), dd.spill),
+                batch_format="pyarrow",
+            ).to_pandas()  # tiny: one row per bucket
+        )
+    _stage("merge_shuffle", t0, groups=len(merged), skipped=len(skip),
+           rows_in=int(merged["rows_in"].sum()), terms_out=int(merged["n_terms"].sum()),
+           bytes_out=int(merged["bytes_out"].sum()))
+    hot_files = glob_parquet(os.path.join(out_dir, "parts", "hot"))
+    hot_terms = ray.data.read_parquet(hot_files, columns=["term"]).to_pandas()["term"] if hot_files else []
+    return commit_index(out_dir, cfg, inner_fp, done, stages, tot, dd.count, hot_terms, hot_thresh,
+                        merge_groups=len(skip) + len(merged))
 
 
 def merge_indexes(
@@ -241,22 +237,21 @@ def merge_indexes(
     overwrite: bool = False,
 ) -> BuildResult:
     """Merge committed indexes ``sources`` into a new standalone index
-    at ``out_dir``. Staged + resumable (a crash re-enters at the merge
-    shuffle; a completed merge returns instantly). Raises
-    FileNotFoundError for an unbuilt source and ValueError when a
-    source was built under a DIFFERENT EngineConfig than ``cfg`` —
+    at ``out_dir`` through ``merge_postings``: postings rows equal a
+    ``build_index`` over the union of the sources' documents (cross-
+    source duplicates keep the smallest doc_id). Resumable (a rerun
+    skips committed buckets; a completed merge returns instantly).
+    Raises FileNotFoundError for an unbuilt source and ValueError when
+    a source was built under a DIFFERENT EngineConfig than ``cfg`` —
     mixing analyzer/codec configs would silently corrupt term
     statistics, so the caller must pass the build config."""
-    from ..state.fsio import read_bytes
-    from ..state.manifest import read_manifest
-
     cfg = cfg or EngineConfig()
     if len(sources) < 1:
         raise ValueError("merge_indexes: need at least one source index")
     if os.path.abspath(out_dir) in {os.path.abspath(s) for s in sources}:
         raise ValueError(
             f"merge_indexes: out_dir {out_dir!r} is one of the sources — "
-            "staging would destroy it (same guard as compact_windows)"
+            "the merge would destroy it (same guard as compact_windows)"
         )
     stats = []
     for d in sources:
@@ -264,15 +259,11 @@ def merge_indexes(
         if raw is None:
             raise FileNotFoundError(f"{d}/corpus_stats.json: not a built index")
         stats.append(json.loads(raw))
-    from ..ids import check_term_hash_canary
-
-    for d, s in zip(sources, stats):
-        # cross-machine merge is the advertised use case — refuse a
-        # source whose builder hashed terms differently than we will
-        # when re-bucketing its decoded postings
-        check_term_hash_canary(s, f"merge_indexes(source={d})")
     want_hash = cfg.config_hash()
     for d, s in zip(sources, stats):
+        # cross-machine merge is the advertised use case — refuse a
+        # source whose builder hashed terms differently than we do
+        check_term_hash_canary(s, f"merge_indexes(source={d})")
         if s.get("config_hash") != want_hash:
             raise ValueError(
                 f"merge_indexes: {d} was built with config_hash="
@@ -288,9 +279,9 @@ def merge_indexes(
     inner_fp = f"{fingerprint}:{want_hash}"
     # out_dir may be an UNRELATED existing index (or a merge of a
     # different source set) — the sources-identity guard above only
-    # protects out_dir being one of the sources. Refuse to let staging
-    # destroy anything whose recorded fingerprint isn't a prior merge
-    # of these same sources unless the caller says overwrite=True.
+    # protects out_dir being one of the sources. Refuse to let the
+    # merge destroy anything whose recorded fingerprint isn't a prior
+    # merge of these same sources unless the caller says overwrite=True.
     if not overwrite:
         existing = read_bytes(os.path.join(out_dir, "corpus_stats.json"))
         if existing is not None:
@@ -305,6 +296,4 @@ def merge_indexes(
                 f"a prior merge of these sources ({fingerprint!r}) — "
                 "refusing to destroy it; pass overwrite=True to replace"
             )
-    return restage_and_build(
-        list(zip(sources, stats)), out_dir, cfg, fingerprint, stage="merge-stage"
-    )
+    return merge_postings(list(zip(sources, stats)), out_dir, cfg, fingerprint)

@@ -42,7 +42,7 @@ import pyarrow as pa
 import pyarrow.parquet as pq
 import ray.data
 
-from ..codec import delta_decode, varbyte_decode, varbyte_encode, varbyte_lengths
+from ..codec import binary_payload, delta_decode_runs, varbyte_encode, varbyte_lengths
 from ..config import EngineConfig
 from ..ids import doc_id_from_key, term_bucket
 from ..tokenizer import tokenize_text
@@ -241,18 +241,14 @@ class PhraseScorer:
         t = pa.concat_tables(tables)
         docs = t["doc_id"].to_numpy(zero_copy_only=False).astype(np.uint64)
         order = np.argsort(docs, kind="stable")
-        # ONE varbyte decode over the whole term (entries joined in
-        # file order), vectorized per-segment cumsum (= delta_decode),
+        # ONE varbyte decode over the whole term (entries in file
+        # order), vectorized per-segment cumsum (delta_decode_runs),
         # then one gather into doc-sorted segment order — no
         # per-posting Python decode calls
         npos_f = t["npos"].to_numpy(zero_copy_only=False).astype(np.int64)
         total = int(npos_f.sum())
-        deltas = varbyte_decode(b"".join(t["pos_vb"].to_pylist()), total)
-        ends_f = np.cumsum(npos_f)
-        starts_f = ends_f - npos_f
-        cs = np.cumsum(deltas, dtype=np.uint64)
-        seg_prefix = np.where(starts_f > 0, cs[starts_f - 1], np.uint64(0))
-        pos_file = cs - np.repeat(seg_prefix, npos_f)
+        starts_f = np.cumsum(npos_f) - npos_f
+        pos_file = delta_decode_runs(binary_payload(t["pos_vb"]), npos_f)
         npos_s = npos_f[order]
         ends_s = np.cumsum(npos_s)
         starts_s = ends_s - npos_s

@@ -376,7 +376,12 @@ def distribute_global_stats(sub_dirs: list[str], appended: str | None = None) ->
     (prior snapshot + new sub-index's parts), so append cost stays
     O(dictionary + new window) instead of re-reading every window's
     postings. Any coverage mismatch (e.g. a crash between build and
-    distribute) falls back to the full re-aggregation."""
+    distribute) falls back to the full re-aggregation.
+
+    One sub-index (e.g. after a full compaction) is its own corpus: its
+    df IS the global df, so no aggregation runs and any stale
+    global_df.parquet is removed (the scorer serves local df without
+    one). The next append finds no snapshot and re-aggregates in full."""
     import shutil
     import tempfile
 
@@ -416,6 +421,9 @@ def distribute_global_stats(sub_dirs: list[str], appended: str | None = None) ->
         })
         atomic_write_bytes(os.path.join(d, "corpus_stats.json"),
                            json.dumps(s, sort_keys=True, indent=1).encode())
+    if len(sub_dirs) == 1:
+        remove_path(os.path.join(sub_dirs[0], "global_df.parquet"))
+        return
 
     # per-sub-index (term, df) source: the term_dict sidecar when the
     # build wrote one (narrow, pre-aggregated — no postings payload
@@ -427,7 +435,7 @@ def distribute_global_stats(sub_dirs: list[str], appended: str | None = None) ->
     # incremental source selection: prior snapshot + new parts, but only
     # when the snapshot's recorded coverage is exactly the prior set
     files: list[str] | None = None
-    if appended is not None and appended in sub_dirs and len(sub_dirs) > 1:
+    if appended is not None and appended in sub_dirs:
         prior = [d for d in sub_dirs if d != appended]
         expect = sorted(os.path.basename(d.rstrip("/")) for d in prior)
         snap = os.path.join(prior[0], "global_df.parquet")

@@ -56,15 +56,6 @@ def _walk_files(root: str) -> list[str]:
     )
 
 
-def _copy_file(src: str, dest: str) -> bytes:
-    """Copy one file (any fs → any fs), returning its content sha256."""
-    data = fsio.read_bytes(src)
-    if data is None:
-        raise FileNotFoundError(src)
-    fsio.write_bytes_atomic(dest, data)
-    return hashlib.sha256(data).digest()
-
-
 def snapshot_index(src: str, dest: str, incremental: bool = True) -> dict:
     """Copy an index tree to a snapshot repository; returns the
     manifest dict (also written as ``dest/SNAPSHOT.json``, last).

@@ -466,3 +466,191 @@ def test_append_windows_batched(ray_session, tmp_path, monkeypatch):
         out_e[cols].sort_values(["query_id", "rank"]).reset_index(drop=True),
         out_b[cols].sort_values(["query_id", "rank"]).reset_index(drop=True),
     )
+
+
+# --------------------------------------------------------------------------
+# compaction merges encoded postings: equal to a fresh build, resumable
+# --------------------------------------------------------------------------
+
+
+def _three_windows(corpus):
+    n = corpus.num_rows // 3
+    return [corpus.slice(0, n), corpus.slice(n, n), corpus.slice(2 * n)]
+
+
+def _append_all(windows, root):
+    import ray.data
+
+    from docinsight_ray.pipelines.incremental import append_windows
+
+    append_windows([(ray.data.from_arrow(w), f"{i:03d}") for i, w in enumerate(windows)], root, CFG)
+    return root
+
+
+def _survivors(windows, dead_contents=()):
+    """The docs a windowed index holds: a later window's copy of a
+    content an earlier window holds was dropped at append (copies
+    within one window stay, for the build's own dedup), and tombstoned
+    contents go."""
+    import pyarrow as pa
+
+    seen, keep = set(dead_contents), []
+    for w in windows:
+        wc = w["content"].to_pylist()
+        keep += [c not in seen for c in wc]
+        seen.update(wc)
+    return pa.concat_tables(windows).filter(pa.array(keep))
+
+
+def _postings(index_dir):
+    """Every postings row of an index, sorted by term."""
+    import glob
+    import os
+
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    files = glob.glob(os.path.join(index_dir, "parts", "**", "*.parquet"), recursive=True)
+    return pa.concat_tables([pq.read_table(f) for f in files]).sort_by("term")
+
+
+def _part_bytes(index_dir):
+    import glob
+    import os
+
+    files = glob.glob(os.path.join(index_dir, "parts", "**", "*.parquet"), recursive=True)
+    return {os.path.relpath(f, index_dir): open(f, "rb").read() for f in files}
+
+
+def _assert_oracle(root, survivors, seed=13):
+    import ray.data
+
+    oracle = OracleIndex(survivors, CFG)
+    queries = gen_queries(survivors, n_keyword=10, seed=seed)
+    out = query_windows(ray.data.from_arrow(queries_table(queries)), root, CFG, mode="taat").to_pandas()
+    for qid, text, k in queries:
+        od, osc = oracle.score(text, k)
+        sub = out[out.query_id == qid].sort_values("rank")
+        np.testing.assert_array_equal(sub.doc_id.to_numpy(dtype=np.uint64), od, err_msg=f"q{qid}")
+        np.testing.assert_array_equal(sub.score.to_numpy(), osc, err_msg=f"q{qid}")
+
+
+@pytest.mark.parametrize("tombstones", [False, True])
+def test_compaction_equals_fresh_build(ray_session, tmp_path, tombstones):
+    """Compacting 3 windows gives, on every postings column, the rows of
+    a build_index over exactly the surviving docs — and no staging
+    dirs."""
+    import json
+    import os
+
+    import ray.data
+
+    from docinsight_ray.build import build_index
+    from docinsight_ray.ids import sha256_hex
+    from docinsight_ray.pipelines.incremental import compact_windows, delete_docs
+
+    corpus = gen_corpus(360, seed=41)
+    windows = _three_windows(corpus)
+    root = _append_all(windows, str(tmp_path / "w"))
+    dead = corpus["content"].to_pylist()[::17] if tombstones else []
+    if dead:
+        assert delete_docs(root, shas=list(sha256_hex(dead)), cfg=CFG) > 0
+    out = compact_windows(root, cfg=CFG)
+    fresh = build_index(ray.data.from_arrow(_survivors(windows, dead)), str(tmp_path / "fresh"),
+                        CFG, fingerprint="fresh")
+    got, want = _postings(out), _postings(fresh.index_dir)
+    assert got.num_rows == want.num_rows > 0
+    for col in want.column_names:
+        assert got[col].equals(want[col]), col
+    st = json.load(open(os.path.join(out, "corpus_stats.json")))
+    assert (st["n_docs"], st["total_len"], st["avgdl"]) == (fresh.n_docs, fresh.total_len, fresh.avgdl)
+    assert set(st["stages"]) == {"docs_union", "dedup", "stats_agg", "merge_shuffle", "term_dict"}
+    assert not {"fragments", "fragments-dfstats", "partial"} & set(os.listdir(out))
+
+
+def test_full_compaction_then_append(ray_session, tmp_path):
+    """A full compaction leaves one window, whose own df is the global
+    df: no global_df.parquet is written. The next append re-aggregates
+    in full and serves the oracle's ranking."""
+    import os
+
+    import ray.data
+
+    from docinsight_ray.pipelines.incremental import compact_windows
+
+    corpus = gen_corpus(360, seed=13)
+    windows = _three_windows(corpus)
+    root = _append_all(windows[:2], str(tmp_path / "w"))
+    out = compact_windows(root, cfg=CFG)
+    assert not os.path.exists(os.path.join(out, "global_df.parquet"))
+    _assert_oracle(root, _survivors(windows[:2]))
+    append_window(ray.data.from_arrow(windows[2]), root, "002", CFG)
+    _assert_oracle(root, _survivors(windows))
+
+
+def test_compaction_crash_resume(ray_session, tmp_path, monkeypatch):
+    """A compaction that crashes after k committed buckets, or after the
+    _COMPACTED_FROM cutover, serves the oracle's ranking meanwhile (no
+    double counting), and its rerun writes byte-identical postings —
+    skipping the buckets already committed."""
+    import glob
+    import json
+    import os
+
+    from docinsight_ray.pipelines import incremental, merge
+    from docinsight_ray.pipelines.incremental import compact_windows
+
+    corpus = gen_corpus(360, seed=13)
+    windows = _three_windows(corpus)
+    survivors = _survivors(windows)
+    clean_dir = compact_windows(_append_all(windows, str(tmp_path / "clean")), cfg=CFG)
+    clean = _part_bytes(clean_dir)
+    clean_n = json.load(open(os.path.join(clean_dir, "corpus_stats.json")))["n_docs"]
+
+    # 1. the bucket writer raises once k buckets have committed
+    k = 2
+    base = merge._BucketMerge
+
+    class CrashAfterK(base):
+        def __call__(self, group):
+            names = os.listdir(os.path.join(self.out_dir, "manifest"))
+            if sum(n.startswith("g") for n in names) >= k:
+                raise RuntimeError("injected bucket crash")
+            return super().__call__(group)
+
+    root = _append_all(windows, str(tmp_path / "crash"))
+    monkeypatch.setattr(merge, "_BucketMerge", CrashAfterK)
+    with pytest.raises(Exception, match="injected bucket crash"):
+        compact_windows(root, cfg=CFG)
+    monkeypatch.undo()
+    (out,) = glob.glob(os.path.join(root, "window=compact-*"))
+    committed = glob.glob(os.path.join(out, "manifest", "g*.json"))
+    assert k <= len(committed) < CFG.num_buckets
+    assert not os.path.exists(os.path.join(out, "corpus_stats.json"))
+    _assert_oracle(root, survivors)  # the uncommitted merge excludes nothing
+    kept = {f: os.path.getmtime(f) for m in committed
+            for f in glob.glob(os.path.join(out, "parts", os.path.basename(m)[:-5], "*.parquet"))}
+    assert compact_windows(root, cfg=CFG) == out
+    assert _part_bytes(out) == clean
+    assert {f: os.path.getmtime(f) for f in kept} == kept  # committed buckets skipped
+    st = json.load(open(os.path.join(out, "corpus_stats.json")))
+    assert st["n_docs"] == clean_n and st["stages"]["merge_shuffle"]["skipped"] == len(committed)
+    _assert_oracle(root, survivors)
+
+    # 2. the merge committed (sources excluded by the marker) and the
+    # crash hits before global stats are redistributed
+    root = _append_all(windows, str(tmp_path / "cutover"))
+
+    def crash(*_a, **_k):
+        raise RuntimeError("injected stats crash")
+
+    monkeypatch.setattr(incremental, "distribute_global_stats", crash)
+    with pytest.raises(RuntimeError, match="injected stats crash"):
+        compact_windows(root, cfg=CFG, delete_sources=False)
+    monkeypatch.undo()
+    _assert_oracle(root, survivors)
+    out = compact_windows(root, cfg=CFG)
+    assert _part_bytes(out) == clean
+    assert json.load(open(os.path.join(out, "corpus_stats.json")))["n_docs"] == clean_n
+    assert [os.path.basename(d) for d, _ in incremental._live_windows(root)] == [os.path.basename(out)]
+    _assert_oracle(root, survivors)

@@ -105,3 +105,21 @@ def test_cli_merge(merged, capsys):
     assert res["n_docs"] == rboth.n_docs
     # config mismatch → rc 2 with a clean error
     assert main(["merge", str(root / "im_bad"), ia, ib]) == 2
+
+
+def test_merge_postings_equal_single_build(merged):
+    """The merge of two overlapping sources (a content both hold) has,
+    on every postings column, the rows of the single build over the
+    concatenated corpora — and no staging dirs."""
+    _, _, _, _, iboth, im, _, _ = merged
+
+    def postings(d):
+        files = [os.path.join(dp, f) for dp, _, fs in os.walk(os.path.join(d, "parts"))
+                 for f in fs if f.endswith(".parquet")]
+        return pa.concat_tables([pq.read_table(f) for f in files]).sort_by("term")
+
+    got, want = postings(im), postings(iboth)
+    assert got.num_rows == want.num_rows > 0
+    for col in want.column_names:
+        assert got[col].equals(want[col]), col
+    assert not {"fragments", "fragments-dfstats", "partial"} & set(os.listdir(im))

@@ -14,9 +14,14 @@ bitwise scores) by tests:
   the decoded postings of the query's terms (the exhaustive baseline;
   analogue of the reference's fallback scorer,
   /root/reference/index/fallback_index.py:124-164).
-- ``maxscore`` — vectorized MaxScore dynamic pruning: high-UB (rare)
-  lists generate candidates, low-UB (hot) lists are only probed — the
-  default serving mode (~2x TAAT at Zipfian skew, more at scale).
+- ``maxscore`` — two-phase MaxScore dynamic pruning: a seed of the
+  high-UB (rare) lists bounds θ, and the low-UB (hot) lists that cannot
+  lift a doc to it are only probed — the serving mode. p50 on the
+  perfbench serve index (4k files, 8 buckets, 2,035-query stream, one
+  in-process scorer, one 1-core host): whole-file queries 14 ms, as
+  TAAT (13-15 ms), against 88-113 ms for the earlier one-list-per-round
+  MaxScore; keyword queries 0.52-0.57 ms (earlier 0.59-0.72 ms, TAAT
+  1.3-1.4 ms).
 - ``bmw`` — vectorized block-max pruning (WAND family): stored
   per-block upper bounds + block-last-doc skip metadata drive both
   candidate-block selection and a per-candidate shallow check, and
@@ -38,6 +43,7 @@ from __future__ import annotations
 
 import json
 import os
+from collections import Counter
 
 import numpy as np
 import pyarrow as pa
@@ -545,6 +551,9 @@ class BM25Scorer:
         self._init_s = _time.monotonic() - _t_init
         self._busy_s = 0.0
         self._n_scored = 0
+        # cumulative MaxScore pruning counters (lists scanned whole, lists
+        # only probed, docs fully scored), written with the record above
+        self.counters = Counter(lists_essential=0, lists_probed=0, candidates_scored=0)
         self._profile_dir = os.environ.get("DOCINSIGHT_ACTOR_PROFILE")
 
     def _profile_flush(self) -> None:
@@ -559,6 +568,7 @@ class BM25Scorer:
                     "init_s": round(self._init_s, 4),
                     "busy_s": round(self._busy_s, 4),
                     "n_queries": self._n_scored,
+                    **self.counters,
                     "ts": _time.time(),
                 },
                 f,
@@ -934,60 +944,60 @@ class BM25Scorer:
     # ---- MaxScore (vectorized dynamic pruning) --------------------------
 
     def score_maxscore(self, text: str, k: int) -> tuple[np.ndarray, np.ndarray]:
-        """Exact MaxScore-style pruning, batch-vectorized.
+        """Exact two-phase MaxScore (Turtle & Flood 1995), vectorized.
 
-        Lists ordered by upper bound (max contribution) descending are
-        opened as candidate *generators* one at a time; after each
-        round every candidate is fully scored (accumulating in sorted-
-        term order — the determinism contract) and θ = current k-th
-        best. A doc outside the opened lists can score at most the sum
-        of the remaining lists' upper bounds, so once that falls
-        STRICTLY below θ no unopened list needs to generate candidates
-        — its postings are only probed via searchsorted for docs
-        already in the candidate set. For rare∧hot queries the hot
-        (low-idf ⇒ low-UB) lists are therefore never scanned, which is
-        the practical pruning win at Zipfian skew. Strict `<` keeps
-        doc_id-ascending tie-breaks exact (an unopened doc could tie θ
-        with a smaller doc_id and deserve the slot)."""
+        Phase 1 scores the union of the highest-upper-bound lists until
+        it holds k docs: its k-th score θ₀ ≤ the true k-th score. Phase 2
+        calls the lowest-UB lists whose UB sum (with score_bmw's 1e-9
+        margin: it adds in another order than a doc's score) is STRICTLY
+        below θ₀ non-essential — a doc only in them cannot reach θ₀ —
+        and scores the essential lists' union in ONE pass over the terms.
+        Strict `<` keeps θ-ties for the doc_id-ascending tie-break; sums
+        run from 0.0 in sorted-term order, bitwise equal to TAAT."""
         terms = self.query_terms(text)
         if not terms:
             return np.empty(0, dtype=np.uint64), np.empty(0, dtype=np.float64)
         k = int(k)
-        arrays = {t: self._term_arrays(t) for t in terms}  # sorted-term order
         bst = self._boosts or {}
-        ubs = {
-            t: (float(arrays[t][1].max()) * bst.get(t, 1.0) if arrays[t][1].size else 0.0)
-            for t in terms
-        }
+        arrays = {}  # boosted contributions: c * b per element, as TAAT adds
+        for t in terms:
+            d, c = self._term_arrays(t)[:2]
+            arrays[t] = (d, c if bst.get(t, 1.0) == 1.0 else c * bst[t])
+        ubs = {t: float(c.max()) if c.size else 0.0 for t, (_, c) in arrays.items()}
         by_ub = sorted(terms, key=lambda t: (-ubs[t], t))
-        # rem_ub[i] = max possible score using only lists i+1..m
-        rem = np.cumsum([ubs[t] for t in by_ub][::-1])[::-1]
 
-        def score_full(cands: np.ndarray) -> np.ndarray:
+        def score(cands: np.ndarray, scanned: set[str]) -> np.ndarray:
             acc = np.zeros(cands.size, dtype=np.float64)
-            for t in terms:  # alphabetical — bitwise-identical to TAAT/oracle
-                docs_t, contrib_t = arrays[t][0], arrays[t][1]
-                if docs_t.size == 0:  # doc_filter can empty a list
-                    continue
-                b = bst.get(t, 1.0)
-                pos = np.searchsorted(docs_t, cands)
-                pos_c = np.minimum(pos, docs_t.size - 1)
-                hit = docs_t[pos_c] == cands
-                hit_c = contrib_t[pos_c[hit]]
-                acc[hit] += hit_c if b == 1.0 else hit_c * b
+            for t in terms:  # sorted-term order — bitwise-identical to TAAT
+                d, c = arrays[t]
+                if t in scanned:  # every posting is a candidate
+                    acc[np.searchsorted(cands, d)] += c
+                elif d.size < cands.size:  # membership from the list's side
+                    pos = np.minimum(np.searchsorted(cands, d), cands.size - 1)
+                    hit = cands[pos] == d
+                    acc[pos[hit]] += c[hit]
+                elif d.size:  # probe the list for each candidate
+                    pos = np.minimum(np.searchsorted(d, cands), d.size - 1)
+                    hit = d[pos] == cands
+                    acc[hit] += c[pos[hit]]
             return acc
 
-        cands = np.empty(0, dtype=np.uint64)
-        scores = np.empty(0, dtype=np.float64)
-        for i, t in enumerate(by_ub):
-            new = np.setdiff1d(arrays[t][0], cands, assume_unique=False)
-            if new.size:
-                cands = np.concatenate([cands, new])
-                scores = np.concatenate([scores, score_full(new)])
-            if cands.size >= k:
-                theta = np.partition(scores, -k)[-k]
-                if i + 1 < len(by_ub) and rem[i + 1] < theta:
-                    break  # unopened lists cannot produce a winner
+        n_seed, cands = 0, np.empty(0, dtype=np.uint64)
+        while n_seed < len(by_ub) and cands.size < k:
+            cands = np.union1d(cands, arrays[by_ub[n_seed]][0])
+            n_seed += 1
+        scores = score(cands, set(by_ub[:n_seed]))
+        n_ess, n_scored = n_seed, cands.size
+        if 0 < k <= cands.size:
+            theta0 = np.partition(scores, -k)[-k]
+            low = np.cumsum([ubs[t] for t in by_ub[::-1]]) * (1.0 + 1e-9)
+            n_ess = max(n_seed, len(by_ub) - int(np.searchsorted(low, theta0)))
+            if n_ess > n_seed:  # else the seed holds every essential doc
+                cands = np.unique(np.concatenate([arrays[t][0] for t in by_ub[:n_ess]]))
+                scores = score(cands, set(by_ub[:n_ess]))
+                n_scored += cands.size
+        self.counters.update(lists_essential=n_ess, lists_probed=len(terms) - n_ess,
+                             candidates_scored=n_scored)
         sel = topk_order(cands, scores, k)
         return cands[sel], scores[sel]
 
@@ -1401,7 +1411,20 @@ def scorer_pool(queries, index_dir: str, cfg: EngineConfig, concurrency: int, **
     the 100k/2,000-query protocol). A single actor, or a
     partition-lazy scorer (``max_loaded_parts``), reads its own index
     — sharing would only add a driver-side decode, or make the whole
-    index resident against the lazy scorer's RSS cap."""
+    index resident against the lazy scorer's RSS cap.
+
+    The pool never asks for more actors than ``queries`` has blocks
+    when its plan fixes that count without running (no read in the
+    plan, e.g. ``from_arrow`` tables): an actor with no block to score
+    would still start and fetch the shared state. A read's block count
+    is only a plan-time estimate and caps nothing."""
+    from ray.data._internal.logical.operators.read_operator import Read
+
+    ops = [queries._logical_plan.dag]
+    while ops and not isinstance(ops[-1], Read):
+        ops.extend(ops.pop().input_dependencies)
+    blocks = None if ops else queries._logical_plan.dag.estimated_num_outputs()
+    concurrency = min(concurrency, blocks or concurrency)
     shared = (
         load_index_state(index_dir)
         if concurrency > 1 and not scorer_kwargs.get("max_loaded_parts")

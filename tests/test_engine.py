@@ -15,7 +15,7 @@ from docinsight_ray.codec import decode_posting
 from docinsight_ray.config import EngineConfig
 from docinsight_ray.fixtures import gen_corpus, gen_queries, queries_table
 from docinsight_ray.oracle import OracleIndex
-from docinsight_ray.scorer import BM25Scorer, query_index
+from docinsight_ray.scorer import BM25Scorer, query_index, vocab_df
 
 CFG = EngineConfig(num_buckets=8, hot_salt=3, hot_df_ratio=0.25)
 
@@ -211,7 +211,8 @@ def test_query_preload_shared_state_identical(built, ray_session):
 
     corpus, idx, res = built
     queries = gen_queries(corpus, n_keyword=5, seed=43)
-    qds = ray.data.from_arrow(queries_table(queries))
+    qt = queries_table(queries)
+    qds = ray.data.from_arrow([qt.slice(0, 6), qt.slice(6)])  # a block per actor
     out = query_index(qds, idx, CFG, mode="maxscore", concurrency=2).to_pandas()
     oracle = OracleIndex(corpus, CFG)
     for qid, text, k in queries:
@@ -235,7 +236,11 @@ def test_unknown_mode_raises(built):
 def test_pool_state_sharing_rule(built, ray_session, monkeypatch):
     """query_index decodes the index into the object store
     (load_index_state) once exactly when its eager pool may run more
-    than one actor — never for one actor or a partition-lazy pool."""
+    than one actor — never for one actor or a partition-lazy pool, and
+    never when the query Dataset has one block (the pool is capped at
+    one actor, and Ray no longer warns about idle actors)."""
+    import warnings
+
     import ray.data
 
     from docinsight_ray import scorer
@@ -244,15 +249,24 @@ def test_pool_state_sharing_rule(built, ray_session, monkeypatch):
     calls = []
     real = scorer.load_index_state
     monkeypatch.setattr(scorer, "load_index_state", lambda d: calls.append(d) or real(d))
-    qds = ray.data.from_arrow(queries_table(gen_queries(corpus, n_keyword=2, seed=44)))
+    qt = queries_table(gen_queries(corpus, n_keyword=2, seed=44))
+    one_block = ray.data.from_arrow(qt)
+    qds = ray.data.from_arrow([qt.slice(0, 4), qt.slice(4)])  # two blocks: up to two actors
     query_index(qds, idx, CFG, concurrency=1)
     query_index(qds, idx, CFG, concurrency=2, max_loaded_parts=2)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        capped = query_index(one_block, idx, CFG, concurrency=2).to_pandas()
     assert calls == []
+    assert not [w for w in caught if "minimum number of concurrent actors" in str(w.message)]
     query_index(qds, idx, CFG, concurrency=2)
     assert calls == [idx]
     assert CFG.scorer_concurrency > 1
-    query_index(qds, idx, CFG)  # default: cfg.scorer_concurrency actors
+    pooled = query_index(qds, idx, CFG).to_pandas()  # default: cfg.scorer_concurrency actors
     assert calls == [idx, idx]
+    key = ["query_id", "rank"]
+    assert capped.sort_values(key).reset_index(drop=True).equals(
+        pooled.sort_values(key).reset_index(drop=True))
 
 
 def test_determinism_across_parallelism(built, ray_session, tmp_path):
@@ -377,6 +391,111 @@ def test_maxscore_rank_identity(built):
         md, msc = sc.score_maxscore(text, k)
         np.testing.assert_array_equal(md, od, err_msg=f"maxscore doc mismatch q{qid}")
         np.testing.assert_array_equal(msc, osc, err_msg=f"maxscore score mismatch q{qid}")
+
+
+def _long_queries(corpus, n=4, files=3, seed=5):
+    """Whole-file plagiarism-check queries made longer by concatenating
+    fixture files (every query has >= 100 distinct indexed terms)."""
+    rng = np.random.default_rng(seed)
+    contents = corpus["content"].to_pylist()
+    return ["\n".join(contents[i] for i in rng.choice(len(contents), files, replace=False))
+            for _ in range(n)]
+
+
+def test_maxscore_long_queries_bitwise_taat(built):
+    """Two-phase MaxScore on >= 100-term queries equals TAAT bitwise:
+    plain and boosted, under a doc_filter that empties query lists,
+    under include_doc_ids, and at k >= the number of matching docs."""
+    corpus, idx, res = built
+    queries = _long_queries(corpus)
+    plain = BM25Scorer(idx, CFG, mode="taat")
+    assert all(len(plain.query_terms(q)) >= 100 for q in queries)
+    terms = plain.query_terms(queries[0])
+    ids = pq.read_table(os.path.join(idx, "docs"), columns=["doc_id"])["doc_id"].to_numpy()
+    include = np.sort(ids)[::3]
+    langs = ("py", "go", "rs", "c")
+    variants = {
+        "plain": {},
+        "boosts": {"boosts": {terms[0]: 3.0, terms[len(terms) // 2]: 0.5, "public": 2.0}},
+        "doc_filter": {"doc_filter": ("lang", langs)},
+        "include_doc_ids": {"include_doc_ids": include},
+    }
+    filtered = BM25Scorer(idx, CFG, mode="taat", doc_filter=("lang", langs))
+    assert any(filtered._term_arrays(t)[0].size == 0 for t in filtered.query_terms(queries[0]))
+    for name, kw in variants.items():
+        taat = BM25Scorer(idx, CFG, mode="taat", **kw)
+        ms = BM25Scorer(idx, CFG, mode="maxscore", **kw)
+        for qi, q in enumerate(queries):
+            n_match = taat.score_taat(q, taat.n_docs)[0].size
+            for k in (1, 10, n_match, n_match + 5):
+                td, ts = taat.score_taat(q, k)
+                md, msc = ms.score_maxscore(q, k)
+                msg = f"{name} q{qi} k={k}"
+                np.testing.assert_array_equal(md, td, err_msg=f"docs {msg}")
+                np.testing.assert_array_equal(msc, ts, err_msg=f"scores {msg}")
+        # the filter and the include set must leave pruning something to do
+        assert ms.counters["lists_probed"] > 0, name
+
+
+def test_tie_at_kth_score_smaller_doc_id_wins(ray_session, tmp_path):
+    """Two docs with one token multiset in different line order have
+    distinct sha256 (dedup keeps both) and identical scores. Tied
+    exactly at the k-th score, the smaller doc_id takes the slot in
+    every mode."""
+    import ray.data
+
+    filler = [f"common word{i} other{i % 7}\nmore text line{i}" for i in range(60)]
+    higher = ["alpha alpha beta\ncommon", "alpha beta beta\ncommon"]
+    tied = ["alpha beta\ncommon gamma", "common gamma\nalpha beta"]
+    contents = filler + higher + tied
+    corpus = pa.table({
+        "repo": ["r"] * len(contents),
+        "path": [f"f{i}.txt" for i in range(len(contents))],
+        "commit": ["c"] * len(contents),
+        "lang": ["java"] * len(contents),
+        "content": contents,
+    })
+    idx = str(tmp_path / "idx")
+    res = build_index(ray.data.from_arrow(corpus), idx, CFG, fingerprint="tie")
+    assert res.n_docs == len(contents)
+    query = "alpha beta common"
+    full_d, full_s = BM25Scorer(idx, CFG).score_taat(query, len(contents))
+    ids = pq.read_table(os.path.join(idx, "docs"), columns=["path", "doc_id"])
+    by_path = dict(zip(ids["path"].to_pylist(), ids["doc_id"].to_pylist()))
+    pair = sorted(by_path[f"f{i}.txt"] for i in range(len(contents) - 2, len(contents)))
+    pos = [int(np.flatnonzero(full_d == np.uint64(d))[0]) for d in pair]
+    assert full_s[pos[0]] == full_s[pos[1]] and pos == [pos[0], pos[0] + 1]
+    k = pos[1]  # the pair straddles the cut: ranks k-1 and k
+    assert k >= 2 and full_s[k - 2] > full_s[k - 1]
+    for mode in ("taat", "maxscore", "bmw"):
+        sc = BM25Scorer(idx, CFG, mode=mode)
+        d, s = getattr(sc, f"score_{mode}")(query, k)
+        assert d[-1] == pair[0] and pair[1] not in d, mode
+        np.testing.assert_array_equal(d, full_d[:k], err_msg=mode)
+        np.testing.assert_array_equal(s, full_s[:k], err_msg=mode)
+
+
+def test_maxscore_counters_rare_and_hot(built, tmp_path, monkeypatch):
+    """A rare AND hot keyword query scores only the rare list's docs: the
+    hot list is probed, never scanned (candidates_scored <= rare df).
+    The counters reach the per-actor profile record."""
+    corpus, idx, res = built
+    sc = BM25Scorer(idx, CFG, mode="maxscore")
+    hot = "public"
+    n_hot = sc._term_arrays(hot)[0].size
+    k = 3
+    rare = next(t for t in sorted(vocab_df(idx)) if k <= sc._term_arrays(t)[0].size <= 6)
+    n_rare = sc._term_arrays(rare)[0].size
+    assert n_hot > 10 * n_rare
+    d, s = sc.score_maxscore(f"{rare} {hot}", k)
+    td, ts = BM25Scorer(idx, CFG).score_taat(f"{rare} {hot}", k)
+    np.testing.assert_array_equal(d, td)
+    np.testing.assert_array_equal(s, ts)
+    assert sc.counters == {"lists_essential": 1, "lists_probed": 1, "candidates_scored": n_rare}
+    monkeypatch.setattr(sc, "_profile_dir", str(tmp_path))
+    sc._profile_flush()
+    (rec,) = [json.loads(p.read_text()) for p in tmp_path.glob("actor-*.json")]
+    assert rec["candidates_scored"] == n_rare and rec["lists_probed"] == 1
 
 
 def test_conjunctive_rank_identity(built):

@@ -33,7 +33,8 @@ def test_windows_shared_state_rank_identity(ray_session, tmp_path, monkeypatch):
     calls = []
     real = scorer.load_index_state
     monkeypatch.setattr(scorer, "load_index_state", lambda d: calls.append(d) or real(d))
-    qds = ray.data.from_arrow(queries_table(gen_queries(corpus, n_keyword=8, seed=19)))
+    qt = queries_table(gen_queries(corpus, n_keyword=8, seed=19))
+    qds = ray.data.from_arrow([qt.slice(0, 6), qt.slice(6)])  # a block per actor
     one = query_windows(qds, root, CFG, mode="maxscore").to_pandas()
     assert calls == []
     two = query_windows(qds, root, CFG, mode="maxscore", concurrency_per_window=2).to_pandas()

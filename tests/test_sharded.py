@@ -63,7 +63,8 @@ def test_sharded_preload_rank_identity(sharded):
 
     corpus, idx = sharded
     queries = gen_queries(corpus, n_keyword=6, seed=13)
-    qds = ray.data.from_arrow(queries_table(queries))
+    qt = queries_table(queries)
+    qds = ray.data.from_arrow([qt.slice(0, 6), qt.slice(6)])  # a block per actor
     out = query_sharded(qds, idx, N_SHARDS, CFG, mode="maxscore",
                         concurrency_per_shard=2).to_pandas()
     oracle = OracleIndex(corpus, CFG)
@@ -76,7 +77,8 @@ def test_sharded_preload_rank_identity(sharded):
 
 def test_sharded_state_sharing_rule(sharded, monkeypatch):
     """query_sharded decodes each shard into the object store once
-    exactly when its per-shard pool may run more than one actor."""
+    exactly when its per-shard pool may run more than one actor: with
+    concurrency_per_shard > 1 and more than one query block."""
     import os
 
     import ray.data
@@ -87,8 +89,11 @@ def test_sharded_state_sharing_rule(sharded, monkeypatch):
     calls = []
     real = scorer.load_index_state
     monkeypatch.setattr(scorer, "load_index_state", lambda d: calls.append(d) or real(d))
-    qds = ray.data.from_arrow(queries_table(gen_queries(corpus, n_keyword=2, seed=14)))
+    qt = queries_table(gen_queries(corpus, n_keyword=2, seed=14))
+    one_block = ray.data.from_arrow(qt)
+    qds = ray.data.from_arrow([qt.slice(0, 4), qt.slice(4)])  # two blocks: up to two actors
     query_sharded(qds, idx, N_SHARDS, CFG)
+    query_sharded(one_block, idx, N_SHARDS, CFG, concurrency_per_shard=2)  # capped at one actor
     assert calls == []
     query_sharded(qds, idx, N_SHARDS, CFG, concurrency_per_shard=2)
     assert calls == [os.path.join(idx, f"shard={s}") for s in range(N_SHARDS)]
